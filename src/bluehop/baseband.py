@@ -9,9 +9,6 @@ hops to a new channel out of 79, i.e. 1600 slots (and hops) per second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-
-from .scatternet import Role
 
 TICK_US = 312.5
 TICK_HUS = 625            # half-microsecond units per clock tick
@@ -32,30 +29,6 @@ class OversizePayloadError(ValueError):
     pass
 
 
-class NotSchedulableError(ValueError):
-    pass
-
-
-class SlotGrant(Enum):
-    MAY_TRANSMIT = "may_transmit"
-    MUST_RECEIVE = "must_receive"
-
-
-@dataclass(frozen=True)
-class Clock:
-    """Free-running baseband counter ticking every 312.5 us."""
-
-    ticks: int = 0
-
-    @property
-    def slot_index(self) -> int:
-        return self.ticks // 2
-
-    @property
-    def time_hus(self) -> int:
-        return self.ticks * TICK_HUS
-
-
 @dataclass(frozen=True)
 class SlotClass:
     slots: int
@@ -74,7 +47,6 @@ class SlotClass:
 class HopSequence:
     seed: int
     channel_count: int = CHANNEL_COUNT
-    hop_rate: int = HOP_RATE_HZ
 
 
 def slots_for_payload(payload_bits: int, bits_per_slot: int = BITS_PER_SLOT) -> SlotClass:
@@ -114,22 +86,6 @@ def hop_channel(seq: HopSequence, slot_index: int) -> int:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     z ^= z >> 31
     return z % seq.channel_count
-
-
-def slot_owner(slot_index: int, role: Role) -> SlotGrant:
-    """Who may start transmitting in ``slot_index`` for the given role.
-
-    Masters own even slots, active slaves odd slots; multi-slot packets run
-    through consecutive slots but must start on the owner's parity. Parked
-    slaves hold no slot grant at all.
-    """
-    if role is Role.MASTER:
-        parity = 0
-    elif role is Role.ACTIVE_SLAVE:
-        parity = 1
-    else:
-        raise NotSchedulableError("parked slaves exchange no packets")
-    return SlotGrant.MAY_TRANSMIT if slot_index % 2 == parity else SlotGrant.MUST_RECEIVE
 
 
 def next_tx_start_hus(now_hus: int, parity: int | None) -> int:

@@ -38,7 +38,6 @@ class RouteEntry:
     destination: int
     next_hop: int | None
     cost: int
-    last_updated: int = 0
 
 
 @dataclass
@@ -52,14 +51,14 @@ class RoutingTable:
         return e.cost if e is not None else self.inf
 
 
-def init_routing(n: int, neighbors: Iterable[int], now: int = 0, inf: int = INF) -> RoutingTable:
+def init_routing(n: int, neighbors: Iterable[int], inf: int = INF) -> RoutingTable:
     """Fresh table for a node that just started: itself plus each neighbour at cost 1."""
     table = RoutingTable(owner=n, inf=inf)
-    table.entries[n] = RouteEntry(n, n, 0, now)
+    table.entries[n] = RouteEntry(n, n, 0)
     for m in sorted(neighbors):
         if m == n:
             continue
-        table.entries[m] = RouteEntry(m, m, 1, now)
+        table.entries[m] = RouteEntry(m, m, 1)
     return table
 
 
@@ -77,9 +76,7 @@ def make_advertisement(table: RoutingTable, to_neighbor: int) -> ControlMessage:
     return ControlMessage(MessageKind.ADVERTISEMENT, origin=table.owner, entries=tuple(entries))
 
 
-def process_advertisement(
-    table: RoutingTable, from_: int, adv: ControlMessage, now: int
-) -> bool:
+def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) -> bool:
     """Relax the table against a neighbour's advertised vector.
 
     A candidate cost of advertised+1 (capped at INF) is adopted when it beats
@@ -101,22 +98,17 @@ def process_advertisement(
         entry = table.entries.get(dest)
         if entry is None:
             if candidate < inf:
-                table.entries[dest] = RouteEntry(dest, from_, candidate, now)
+                table.entries[dest] = RouteEntry(dest, from_, candidate)
                 changed = True
         elif candidate < entry.cost:
             entry.next_hop = from_
             entry.cost = candidate
-            entry.last_updated = now
             changed = True
-        elif entry.next_hop == from_:
-            if candidate != entry.cost:
-                entry.cost = candidate
-                if candidate >= inf:
-                    entry.next_hop = None
-                entry.last_updated = now
-                changed = True
-            else:
-                entry.last_updated = now
+        elif entry.next_hop == from_ and candidate != entry.cost:
+            entry.cost = candidate
+            if candidate >= inf:
+                entry.next_hop = None
+            changed = True
     # Destinations we route via the advertiser but which it no longer knows
     # are gone from its vector entirely; poison them.
     for dest in sorted(table.entries):
@@ -129,12 +121,11 @@ def process_advertisement(
         ):
             entry.cost = inf
             entry.next_hop = None
-            entry.last_updated = now
             changed = True
     return changed
 
 
-def handle_withdraw(table: RoutingTable, leaving: int, now: int) -> bool:
+def handle_withdraw(table: RoutingTable, leaving: int) -> bool:
     """Remove a departed node and poison every route that went through it.
 
     Returns True when the table changed; the caller then queues triggered
@@ -149,23 +140,8 @@ def handle_withdraw(table: RoutingTable, leaving: int, now: int) -> bool:
         if entry.next_hop == leaving and entry.destination != table.owner:
             entry.cost = table.inf
             entry.next_hop = None
-            entry.last_updated = now
             changed = True
     return changed
-
-
-def next_hop(table: RoutingTable, dest: int) -> int | None:
-    """Usable next hop toward ``dest``; the owner itself for self-delivery.
-
-    None signals no-route, which tells the transport layer to trigger
-    discovery.
-    """
-    if dest == table.owner:
-        return table.owner
-    entry = table.entries.get(dest)
-    if entry is None or entry.cost >= table.inf or entry.next_hop is None:
-        return None
-    return entry.next_hop
 
 
 def select_next_hop(candidates: Iterable[tuple[int, int]]) -> int | None:

@@ -37,10 +37,6 @@ class Piconet:
     active_slaves: list[int] = field(default_factory=list)
     parked_slaves: list[int] = field(default_factory=list)
 
-    @property
-    def members(self) -> list[int]:
-        return [self.master] + self.active_slaves + self.parked_slaves
-
 
 @dataclass
 class Scatternet:
@@ -73,7 +69,7 @@ class Scatternet:
         return None
 
 
-def form_scatternet(adjacency: dict[int, set[int]], seed: int) -> Scatternet:
+def form_scatternet(adjacency: dict[int, set[int]]) -> Scatternet:
     """Assign master/slave/bridge roles over the given in-range graph.
 
     Nodes are visited in descending degree (ties by lower id). An unassigned
@@ -81,7 +77,7 @@ def form_scatternet(adjacency: dict[int, set[int]], seed: int) -> Scatternet:
     neighbours as active slaves; further unassigned neighbours are parked.
     In-range nodes already serving another piconet gain an extra active-slave
     role (becoming bridges) while the new piconet has capacity. The result
-    depends only on the graph; ``seed`` is accepted for interface stability.
+    depends only on the graph.
     """
     if len(adjacency) > MAX_NODES:
         raise CapacityError(f"{len(adjacency)} nodes exceeds the {MAX_NODES}-node cap")

@@ -10,6 +10,7 @@ half-microseconds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import routing
@@ -35,6 +36,10 @@ _TOP_FIELDS = {
 DEFAULT_T_ADV_S = 1.0
 DEFAULT_T_ACK_S = 0.1
 DEFAULT_RETRIES = 3
+
+# The kernel counts integer half-microseconds, so a period or horizon that
+# rounds to zero of them would never advance the clock.
+_POSITIVE_SECONDS = "expected a positive number of seconds, 0.5 us or more once rounded"
 
 
 class ScenarioError(ValueError):
@@ -98,7 +103,14 @@ class ScenarioConfig:
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _hus(seconds) -> int | None:
+    """Non-negative ``seconds`` as integer half-microseconds, else None."""
+    if not _is_num(seconds) or seconds < 0 or not math.isfinite(seconds * HUS_PER_SECOND):
+        return None
+    return sec_to_hus(seconds)
 
 
 def _is_int(v) -> bool:
@@ -118,14 +130,12 @@ def validate_scenario(data) -> ScenarioConfig:
     for key in sorted(set(data) - _TOP_FIELDS):
         err(key, "unknown field")
 
-    horizon_hus = 0
     horizon = data.get("horizon")
+    horizon_hus = _hus(horizon)
     if horizon is None:
         err("horizon", "required field missing")
-    elif not _is_num(horizon) or horizon <= 0:
-        err("horizon", "expected a positive number of seconds")
-    else:
-        horizon_hus = sec_to_hus(horizon)
+    elif not horizon_hus:
+        err("horizon", _POSITIVE_SECONDS)
 
     link_mode = LinkMode.GEOMETRIC
     mode_raw = data.get("link_mode", "geometric")
@@ -150,16 +160,17 @@ def validate_scenario(data) -> ScenarioConfig:
         t_ack = proto_raw.get("t_ack", DEFAULT_T_ACK_S)
         retries = proto_raw.get("retries", DEFAULT_RETRIES)
         inf = proto_raw.get("inf", routing.INF)
-        if not _is_num(t_adv) or t_adv <= 0:
-            err("protocol.t_adv", "expected a positive number of seconds")
-        if not _is_num(t_ack) or t_ack <= 0:
-            err("protocol.t_ack", "expected a positive number of seconds")
+        t_adv_hus, t_ack_hus = _hus(t_adv), _hus(t_ack)
+        if not t_adv_hus:
+            err("protocol.t_adv", _POSITIVE_SECONDS)
+        if not t_ack_hus:
+            err("protocol.t_ack", _POSITIVE_SECONDS)
         if not _is_int(retries) or retries < 0:
             err("protocol.retries", "expected a non-negative integer")
         if not _is_int(inf) or inf < 2:
             err("protocol.inf", "expected an integer cost cap >= 2")
         if not errors:
-            protocol = ProtocolParams(sec_to_hus(t_adv), sec_to_hus(t_ack), retries, inf)
+            protocol = ProtocolParams(t_adv_hus, t_ack_hus, retries, inf)
 
     nodes: list[NodeSpec] = []
     seen_ids: set[int] = set()
@@ -187,16 +198,16 @@ def validate_scenario(data) -> ScenarioConfig:
             seen_ids.add(nid)
         x, y = raw.get("x"), raw.get("y")
         if not _is_num(x):
-            err(f"{path}.x", "expected a number (metres)")
+            err(f"{path}.x", "expected a finite number (metres)")
         if not _is_num(y):
-            err(f"{path}.y", "expected a number (metres)")
+            err(f"{path}.y", "expected a finite number (metres)")
         class_id = raw.get("class")
         if class_id not in (1, 2, 3):
             err(f"{path}.class", "expected device class 1, 2 or 3")
         range_m = raw.get("range")
         if range_m is not None:
             if not _is_num(range_m):
-                err(f"{path}.range", "expected a number (metres)")
+                err(f"{path}.range", "expected a finite number (metres)")
             elif class_id in (1, 2, 3):
                 lo, hi = CLASS_RANGE_BANDS[class_id]
                 if not (lo <= range_m <= hi):
@@ -212,7 +223,7 @@ def validate_scenario(data) -> ScenarioConfig:
         if not isinstance(wps_raw, list):
             err(f"{path}.waypoints", "expected a list of [time, x, y]")
             wps_raw = []
-        last_t = None
+        last_hus = None
         for j, wp in enumerate(wps_raw):
             wpath = f"{path}.waypoints[{j}]"
             if (
@@ -223,12 +234,13 @@ def validate_scenario(data) -> ScenarioConfig:
                 err(wpath, "expected [time_s, x, y]")
                 continue
             t, wx, wy = wp
-            if t < 0:
+            t_hus = _hus(t)
+            if t_hus is None:
                 err(wpath, "waypoint time must be non-negative")
-            elif last_t is not None and t <= last_t:
-                err(wpath, "waypoint times must be strictly increasing")
-            last_t = t
-            waypoints.append((sec_to_hus(t), float(wx), float(wy)))
+            elif last_hus is not None and t_hus <= last_hus:
+                err(wpath, "waypoint times must be strictly increasing, 0.5 us apart or more")
+            last_hus = t_hus
+            waypoints.append((t_hus, float(wx), float(wy)))
         if nid is not None and not errors:
             nodes.append(
                 NodeSpec(
@@ -252,10 +264,10 @@ def validate_scenario(data) -> ScenarioConfig:
         return True
 
     def check_time(path: str, t) -> int | None:
-        if not _is_num(t) or t < 0:
+        t_hus = _hus(t)
+        if t_hus is None:
             err(path, "expected a non-negative number of seconds")
             return None
-        t_hus = sec_to_hus(t)
         if horizon_hus and t_hus > horizon_hus:
             err(path, f"time {t} s lies beyond the horizon")
             return None
@@ -287,13 +299,13 @@ def validate_scenario(data) -> ScenarioConfig:
         if not _is_int(count) or count < 1:
             err(f"{path}.count", "expected a positive integer")
             ok = False
-        interval = raw.get("interval", 0)
-        if not _is_num(interval) or interval < 0:
+        interval_hus = _hus(raw.get("interval", 0))
+        if interval_hus is None:
             err(f"{path}.interval", "expected a non-negative number of seconds")
             ok = False
         if ok and t_hus is not None:
             traffic.append(
-                TrafficSpec(t_hus, raw["src"], raw["dst"], nbytes, count, sec_to_hus(interval))
+                TrafficSpec(t_hus, raw["src"], raw["dst"], nbytes, count, interval_hus)
             )
 
     actions: list[ActionSpec] = []

@@ -17,7 +17,7 @@ from enum import Enum
 
 from . import baseband, metrics, routing, scatternet, topology, transport
 from .scatternet import LinkMode, Scatternet
-from .scenario import ScenarioConfig
+from .scenario import ActionSpec, ScenarioConfig, TrafficSpec
 from .topology import Node, NodeState, Position, RadioClass
 
 MOTION_CADENCE_HUS = 200_000  # 100 ms simulated
@@ -30,7 +30,6 @@ class CausalityError(ValueError):
 
 class EventKind(Enum):
     MOTION_UPDATE = "motion_update"
-    STATE_CHANGE = "state_change"
     ADVERTISEMENT_TIMER = "advertisement_timer"
     ACK_TIMER = "ack_timer"
     NEIGHBOR_EXPIRY = "neighbor_expiry"
@@ -43,7 +42,7 @@ class Event:
     time: int
     sequence: int
     kind: EventKind
-    payload: dict
+    args: tuple  # positional arguments of the kind's handler
 
 
 class EventQueue:
@@ -56,10 +55,10 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, now: int, time: int, kind: EventKind, payload: dict) -> Event:
+    def schedule(self, now: int, time: int, kind: EventKind, *args) -> Event:
         if time < now:
             raise CausalityError(f"event at {time} scheduled from {now}")
-        event = Event(time, self._sequence, kind, payload)
+        event = Event(time, self._sequence, kind, args)
         self._sequence += 1
         heapq.heappush(self._heap, (time, event.sequence, event))
         return event
@@ -71,16 +70,32 @@ class EventQueue:
         return heapq.heappop(self._heap)[2]
 
 
+Body = routing.ControlMessage | transport.DataPacket | transport.Ack
+
+
 @dataclass
 class Frame:
-    """One queued transmission: control, data fragment, or ack."""
+    """One queued transmission; a None body is an advertisement built at send time."""
 
     sender: int
     to: int
-    ftype: str  # "adv" | "withdraw" | "disco" | "data" | "ack"
-    ctrl: routing.ControlMessage | None = None
-    pkt: transport.DataPacket | None = None
-    ack: transport.Ack | None = None
+    body: Body | None = None
+
+
+# Frame types as named in ``packet_lost`` trace records.
+_CTRL_FTYPE = {
+    routing.MessageKind.ADVERTISEMENT: "adv",
+    routing.MessageKind.WITHDRAW: "withdraw",
+    routing.MessageKind.DISCOVERY_REQUEST: "disco",
+}
+
+
+def _ftype(body: Body) -> str:
+    if isinstance(body, transport.DataPacket):
+        return "data"
+    if isinstance(body, transport.Ack):
+        return "ack"
+    return _CTRL_FTYPE[body.kind]
 
 
 @dataclass
@@ -152,45 +167,46 @@ class Engine:
     def _start(self) -> None:
         self._started = True
         topology.apply_motion(self.world, 0)
+        self._maybe_reform()
         self._rebuild_adjacency()
-        if self.mode is LinkMode.SCATTERNET:
-            self._form_scatternet()
-            self._rebuild_adjacency()
         for n in sorted(self.world):
             if self.world[n].state is NodeState.ACTIVE:
                 self._init_node_routing(n)
         if self._has_motion:
             t = MOTION_CADENCE_HUS
             while t <= self.horizon:
-                self.queue.schedule(0, t, EventKind.MOTION_UPDATE, {})
+                self.queue.schedule(0, t, EventKind.MOTION_UPDATE)
                 t += MOTION_CADENCE_HUS
         for n in sorted(self.world):
             t = self.t_adv
             while t <= self.horizon:
-                self.queue.schedule(0, t, EventKind.ADVERTISEMENT_TIMER, {"node": n})
+                self.queue.schedule(0, t, EventKind.ADVERTISEMENT_TIMER, n)
                 t += self.t_adv
         for action in self.config.actions:
-            self.queue.schedule(
-                0, action.time_hus, EventKind.SCENARIO_ACTION, {"action": action}
-            )
+            self.queue.schedule(0, action.time_hus, EventKind.SCENARIO_ACTION, action)
         for spec in self.config.traffic:
             for k in range(spec.count):
                 self.queue.schedule(
-                    0,
-                    spec.time_hus + k * spec.interval_hus,
-                    EventKind.SCENARIO_ACTION,
-                    {"send": spec},
+                    0, spec.time_hus + k * spec.interval_hus, EventKind.SCENARIO_ACTION, spec
                 )
 
     def run(self, until: int | None = None):
         """Advance the run to ``until`` (default: the horizon). Resumable."""
         if not self._started:
             self._start()
+        handlers = {
+            EventKind.MOTION_UPDATE: self._on_motion,
+            EventKind.ADVERTISEMENT_TIMER: self._on_adv_timer,
+            EventKind.ACK_TIMER: self._on_ack_timer,
+            EventKind.NEIGHBOR_EXPIRY: self._on_neighbor_expiry,
+            EventKind.PACKET_ARRIVAL: self._on_arrival,
+            EventKind.SCENARIO_ACTION: self._on_scenario_action,
+        }
         limit = self.horizon if until is None else min(until, self.horizon)
-        while self.queue and (t := self.queue.peek_time()) is not None and t <= limit:
+        while (t := self.queue.peek_time()) is not None and t <= limit:
             event = self.queue.pop()
             self.now = event.time
-            self._dispatch(event)
+            handlers[event.kind](*event.args)
         self.now = max(self.now, limit)
         return self.metrics, self.trace
 
@@ -227,36 +243,30 @@ class Engine:
             n: {m for m in active if m != n and topology.in_range(active[n], active[m])}
             for n in sorted(active)
         }
-        self.net = scatternet.form_scatternet(adjacency, derive_seed(self.seed, "scatternet"))
+        self.net = scatternet.form_scatternet(adjacency)
         self._emit("scatternet", None, scatternet.scatternet_to_json(self.net))
 
     def _maybe_reform(self) -> None:
-        """Rebuild the scatternet when churn broke a piconet or orphaned a node."""
-        if self.mode is not LinkMode.SCATTERNET:
-            return
-        net = self.net
-        broken = net is None
-        if not broken:
-            for pico in net.piconets:
-                master = self.world[pico.master]
-                if master.state is not NodeState.ACTIVE:
-                    broken = True
-                    break
-                for member in pico.active_slaves + pico.parked_slaves:
-                    node = self.world[member]
-                    if node.state is NodeState.ACTIVE and not topology.in_range(master, node):
-                        broken = True
-                        break
-                if broken:
-                    break
-        if not broken:
-            for n, node in self.world.items():
-                if node.state is NodeState.ACTIVE and not net.roles_of(n):
-                    broken = True
-                    break
-        if broken:
+        """Re-form the scatternet when churn broke a piconet or orphaned a node.
+
+        Callers rebuild the adjacency afterwards.
+        """
+        if self.mode is LinkMode.SCATTERNET and (self.net is None or self._scatternet_broken()):
             self._form_scatternet()
-            self._rebuild_adjacency()
+
+    def _scatternet_broken(self) -> bool:
+        for pico in self.net.piconets:
+            master = self.world[pico.master]
+            if master.state is not NodeState.ACTIVE:
+                return True
+            for member in pico.active_slaves + pico.parked_slaves:
+                node = self.world[member]
+                if node.state is NodeState.ACTIVE and not topology.in_range(master, node):
+                    return True
+        return any(
+            node.state is NodeState.ACTIVE and not self.net.roles_of(n)
+            for n, node in self.world.items()
+        )
 
     def _hop_sequence(self, master: int) -> baseband.HopSequence:
         if master not in self._hop_seqs:
@@ -269,9 +279,7 @@ class Engine:
 
     def _init_node_routing(self, n: int) -> None:
         neighbors = self.links(n)
-        self.runtimes[n] = NodeRuntime(
-            table=routing.init_routing(n, neighbors, self.now, self.inf)
-        )
+        self.runtimes[n] = NodeRuntime(table=routing.init_routing(n, neighbors, self.inf))
         rt = self.runtimes[n]
         for m in neighbors:
             rt.last_heard[m] = self.now
@@ -283,14 +291,15 @@ class Engine:
             self.now,
             self.now + NEIGHBOR_MISS_BUDGET * self.t_adv,
             EventKind.NEIGHBOR_EXPIRY,
-            {"node": n, "neighbor": neighbor},
+            n,
+            neighbor,
         )
 
     def _enqueue_adv(self, n: int, to: int) -> None:
         if to in self.runtimes[n].queued_advs:
             return  # one queued advertisement per neighbour; content built at send
         self.runtimes[n].queued_advs.add(to)
-        self._enqueue_frame(Frame(sender=n, to=to, ftype="adv"))
+        self._enqueue_frame(Frame(n, to))
 
     def _broadcast_advs(self, n: int) -> None:
         for m in self.links(n):
@@ -324,7 +333,15 @@ class Engine:
         self._emit("discovery", n, {"target": target})
         rt.discovery_seen.add((n, target))
         for to, msg in routing.trigger_discovery(n, target, self.links(n), self.inf):
-            self._enqueue_frame(Frame(sender=n, to=to, ftype="disco", ctrl=msg))
+            self._enqueue_frame(Frame(n, to, msg))
+
+    def _forget_neighbor(self, n: int, neighbor: int) -> None:
+        """Drop a departed or silent neighbour and poison the routes through it."""
+        rt = self.runtimes[n]
+        rt.last_heard.pop(neighbor, None)
+        rt.adv_cache.pop(neighbor, None)
+        if routing.handle_withdraw(rt.table, neighbor):
+            self._broadcast_advs(n)
 
     # ----------------------------------------------------------------- radio
 
@@ -334,19 +351,18 @@ class Engine:
         while rt.txq and rt.busy_until <= self.now:
             frame = rt.txq.popleft()
             rt.queue_depth[frame.to] = rt.queue_depth.get(frame.to, 1) - 1
-            if frame.ftype == "adv":
+            if frame.body is None:
                 # Content is built at transmission time so a queued triggered
                 # advertisement always carries the latest table.
                 rt.queued_advs.discard(frame.to)
-                frame.ctrl = routing.make_advertisement(rt.table, frame.to)
+                frame.body = routing.make_advertisement(rt.table, frame.to)
             if self.world[n].state is not NodeState.ACTIVE:
                 self._emit(
                     "packet_lost",
                     n,
-                    {"to": frame.to, "ftype": frame.ftype, "where": "sender_inactive"},
+                    {"to": frame.to, "ftype": _ftype(frame.body), "where": "sender_inactive"},
                 )
                 continue
-            parity = None
             channel = None
             if self.mode is LinkMode.SCATTERNET:
                 link = self.net.link_piconet(n, frame.to) if self.net else None
@@ -354,7 +370,7 @@ class Engine:
                     self._emit(
                         "packet_lost",
                         n,
-                        {"to": frame.to, "ftype": frame.ftype, "where": "no_slot_grant"},
+                        {"to": frame.to, "ftype": _ftype(frame.body), "where": "no_slot_grant"},
                     )
                     continue
                 pid, parity = link
@@ -365,64 +381,34 @@ class Engine:
                 )
             else:
                 start = max(self.now, rt.busy_until)
-            slots = frame.pkt.slot_class.slots if frame.ftype == "data" else 1
+            is_data = isinstance(frame.body, transport.DataPacket)
+            slots = frame.body.slot_class.slots if is_data else 1
             rt.busy_until = start + baseband.tx_duration_hus(slots)
             self._trace_transmission(frame, slots, channel)
-            self.queue.schedule(
-                self.now, rt.busy_until, EventKind.PACKET_ARRIVAL, {"frame": frame}
-            )
+            self.queue.schedule(self.now, rt.busy_until, EventKind.PACKET_ARRIVAL, frame)
             return
 
     def _trace_transmission(self, frame: Frame, slots: int, channel: int | None) -> None:
-        if frame.ftype == "data":
+        body = frame.body
+        if isinstance(body, transport.DataPacket):
+            kind = "data_tx"
             detail = {
                 "to": frame.to,
-                "msg_id": frame.pkt.msg_id,
-                "fragment": frame.pkt.fragment_index,
+                "msg_id": body.msg_id,
+                "fragment": body.fragment_index,
                 "slots": slots,
             }
-            if channel is not None:
-                detail["channel"] = channel
-            self._emit("data_tx", frame.sender, detail)
-        elif frame.ftype == "ack":
-            detail = {"to": frame.to, "msg_id": frame.ack.msg_id}
-            if channel is not None:
-                detail["channel"] = channel
-            self._emit("ack_tx", frame.sender, detail)
+        elif isinstance(body, transport.Ack):
+            kind = "ack_tx"
+            detail = {"to": frame.to, "msg_id": body.msg_id}
         else:
-            ctrl_name = {
-                "adv": "advertisement",
-                "withdraw": "withdraw",
-                "disco": "discovery_request",
-            }[frame.ftype]
-            detail = {"to": frame.to, "ctrl": ctrl_name}
-            if channel is not None:
-                detail["channel"] = channel
-            self._emit("ctrl_sent", frame.sender, detail)
+            kind = "ctrl_sent"
+            detail = {"to": frame.to, "ctrl": body.kind.value}
+        if channel is not None:
+            detail["channel"] = channel
+        self._emit(kind, frame.sender, detail)
 
-    # -------------------------------------------------------------- dispatch
-
-    def _dispatch(self, event: Event) -> None:
-        kind = event.kind
-        p = event.payload
-        if kind is EventKind.PACKET_ARRIVAL:
-            self._on_arrival(p["frame"])
-        elif kind is EventKind.ADVERTISEMENT_TIMER:
-            self._on_adv_timer(p["node"])
-        elif kind is EventKind.ACK_TIMER:
-            self._on_ack_timer(p["node"], p["msg_id"], p["deadline"])
-        elif kind is EventKind.NEIGHBOR_EXPIRY:
-            self._on_neighbor_expiry(p["node"], p["neighbor"])
-        elif kind is EventKind.MOTION_UPDATE:
-            self._on_motion()
-        elif kind is EventKind.SCENARIO_ACTION:
-            if "send" in p:
-                spec = p["send"]
-                self._send_message(spec.src, spec.dst, spec.payload_bytes)
-            else:
-                self._on_action(p["action"])
-        elif kind is EventKind.STATE_CHANGE:
-            self._apply_state(p["node"], p["state"])
+    # ---------------------------------------------------------- timers/churn
 
     def _on_motion(self) -> None:
         topology.apply_motion(self.world, self.now)
@@ -444,30 +430,26 @@ class Engine:
         if heard is None or heard + NEIGHBOR_MISS_BUDGET * self.t_adv > self.now:
             return  # refreshed since this check was armed
         # A silent neighbour is treated exactly like a withdraw from it.
-        rt.last_heard.pop(neighbor, None)
-        rt.adv_cache.pop(neighbor, None)
         self._emit("neighbor_expiry", n, {"neighbor": neighbor})
-        if routing.handle_withdraw(rt.table, neighbor, self.now):
-            self._broadcast_advs(n)
+        self._forget_neighbor(n, neighbor)
 
-    def _on_action(self, action) -> None:
-        if action.action == "withdraw":
-            self._on_withdraw_action(action.node)
+    def _on_scenario_action(self, spec: TrafficSpec | ActionSpec) -> None:
+        if isinstance(spec, TrafficSpec):
+            self._send_message(spec.src, spec.dst, spec.payload_bytes)
+        elif spec.action == "withdraw":
+            self._withdraw(spec.node)
         else:
-            self._apply_state(action.node, action.state)
+            self._apply_state(spec.node, spec.state)
 
-    def _on_withdraw_action(self, n: int) -> None:
+    def _withdraw(self, n: int) -> None:
         """Voluntary departure: farewell to the neighbours, then power off."""
         neighbors = self.links(n)
         self._emit("withdraw_action", n, {"neighbors": list(neighbors)})
         msg = routing.ControlMessage(routing.MessageKind.WITHDRAW, origin=n)
         for m in neighbors:
-            self._emit("ctrl_sent", n, {"to": m, "ctrl": "withdraw"})
+            self._emit("ctrl_sent", n, {"to": m, "ctrl": msg.kind.value})
             self.queue.schedule(
-                self.now,
-                self.now + baseband.SLOT_HUS,
-                EventKind.PACKET_ARRIVAL,
-                {"frame": Frame(sender=n, to=m, ftype="withdraw", ctrl=msg)},
+                self.now, self.now + baseband.SLOT_HUS, EventKind.PACKET_ARRIVAL, Frame(n, m, msg)
             )
         self._apply_state(n, NodeState.OFF)
 
@@ -476,8 +458,8 @@ class Engine:
         was_active = node.state is NodeState.ACTIVE
         topology.set_node_state(self.world, n, state)
         self._emit("state_change", n, {"state": state.value})
-        self._rebuild_adjacency()
         self._maybe_reform()
+        self._rebuild_adjacency()
         if state is NodeState.ACTIVE and not was_active:
             # A node that rejoins finds its immediate neighbours afresh.
             self._init_node_routing(n)
@@ -516,29 +498,26 @@ class Engine:
             msg_id=msg_id,
             src=src,
             dst=dst,
-            plaintext=plaintext,
             fragments=list(enumerate(pieces)),
-            deadline=self.now + self.t_ack,
             sent_at=self.now,
             retries_left=self.retries,
         )
         self.runtimes[src].pending[msg_id] = pending
+        if not self._send_over_first_hop(pending):
+            self._trigger_discovery(src, dst)
+        self._arm_ack_timer(pending)
+
+    def _send_over_first_hop(self, pending: transport.PendingTransfer) -> bool:
+        """Queue every fragment over a first hop, preferring an untried one.
+
+        Returns False when the source knows no route at all.
+        """
         first = transport.choose_first_hop(
-            self._route_candidates(src, dst), pending.routes_tried
+            self._route_candidates(pending.src, pending.dst), pending.routes_tried
         )
         if first is None:
-            self._trigger_discovery(src, dst)
-        else:
-            pending.routes_tried.add(first)
-            self._transmit_fragments(pending, first)
-        self.queue.schedule(
-            self.now,
-            pending.deadline,
-            EventKind.ACK_TIMER,
-            {"node": src, "msg_id": msg_id, "deadline": pending.deadline},
-        )
-
-    def _transmit_fragments(self, pending: transport.PendingTransfer, first: int) -> None:
+            return False
+        pending.routes_tried.add(first)
         for index, piece in pending.fragments:
             pkt = transport.DataPacket(
                 msg_id=pending.msg_id,
@@ -549,7 +528,19 @@ class Engine:
                 sealed_payload=piece,
                 slot_class=baseband.slots_for_payload(len(piece) * 8, self.bits_per_slot),
             )
-            self._enqueue_frame(Frame(sender=pending.src, to=first, ftype="data", pkt=pkt))
+            self._enqueue_frame(Frame(pending.src, first, pkt))
+        return True
+
+    def _arm_ack_timer(self, pending: transport.PendingTransfer) -> None:
+        pending.deadline = self.now + self.t_ack
+        self.queue.schedule(
+            self.now,
+            pending.deadline,
+            EventKind.ACK_TIMER,
+            pending.src,
+            pending.msg_id,
+            pending.deadline,
+        )
 
     def _on_ack_timer(self, src: int, msg_id: int, deadline: int) -> None:
         rt = self.runtimes.get(src)
@@ -579,61 +570,46 @@ class Engine:
         pending.retransmissions += 1
         if self.world[src].state is NodeState.ACTIVE:
             self._trigger_discovery(src, pending.dst)
-            first = transport.choose_first_hop(
-                self._route_candidates(src, pending.dst), pending.routes_tried
-            )
-            if first is not None:
-                pending.routes_tried.add(first)
-                self._transmit_fragments(pending, first)
-        pending.deadline = self.now + self.t_ack
-        self.queue.schedule(
-            self.now,
-            pending.deadline,
-            EventKind.ACK_TIMER,
-            {"node": src, "msg_id": msg_id, "deadline": pending.deadline},
-        )
+            self._send_over_first_hop(pending)
+        self._arm_ack_timer(pending)
+
+    def _pending_of(self, pkt: transport.DataPacket) -> transport.PendingTransfer | None:
+        """The source's retransmission state for ``pkt``'s message, if still held."""
+        rt = self.runtimes.get(pkt.src)
+        return rt.pending.get(pkt.msg_id) if rt else None
 
     # --------------------------------------------------------------- arrival
 
     def _on_arrival(self, frame: Frame) -> None:
         self._try_service(frame.sender)
-        n = frame.to
+        n, sender, body = frame.to, frame.sender, frame.body
         if self.world[n].state is not NodeState.ACTIVE or n not in self.runtimes:
             self._emit(
                 "packet_lost",
                 n,
-                {"from": frame.sender, "ftype": frame.ftype, "where": "receiver_inactive"},
+                {"from": sender, "ftype": _ftype(body), "where": "receiver_inactive"},
             )
             return
-        if frame.ftype == "withdraw":
-            # The sender is already gone; the farewell is honoured regardless.
-            self._on_ctrl_withdraw(n, frame.sender)
-            return
-        linked = frame.sender in self.links(n)
-        if frame.ftype in ("adv", "disco"):
-            if not linked:
-                self._emit(
-                    "stale_ctrl",
-                    n,
-                    {"from": frame.sender, "ctrl": "advertisement" if frame.ftype == "adv" else "discovery_request"},
-                )
-                return
-            if frame.ftype == "adv":
-                self._on_ctrl_adv(n, frame.sender, frame.ctrl)
+        linked = sender in self.links(n)
+        if isinstance(body, routing.ControlMessage):
+            if body.kind is routing.MessageKind.WITHDRAW:
+                # The sender is already gone; the farewell is honoured regardless.
+                self._emit("ctrl_rx", n, {"from": sender, "ctrl": body.kind.value})
+                self._forget_neighbor(n, sender)
+            elif not linked:
+                self._emit("stale_ctrl", n, {"from": sender, "ctrl": body.kind.value})
+            elif body.kind is routing.MessageKind.ADVERTISEMENT:
+                self._on_ctrl_adv(n, sender, body)
             else:
-                self._on_ctrl_disco(n, frame.sender, frame.ctrl)
-            return
-        if not linked:
+                self._on_ctrl_disco(n, sender, body)
+        elif not linked:
             self._emit(
-                "packet_lost",
-                n,
-                {"from": frame.sender, "ftype": frame.ftype, "where": "link_down"},
+                "packet_lost", n, {"from": sender, "ftype": _ftype(body), "where": "link_down"}
             )
-            return
-        if frame.ftype == "data":
-            self._on_data(n, frame.sender, frame.pkt)
-        elif frame.ftype == "ack":
-            self._on_ack(n, frame.sender, frame.ack)
+        elif isinstance(body, transport.DataPacket):
+            self._on_data(n, sender, body)
+        else:
+            self._on_ack(n, sender, body)
 
     def _refresh_neighbor(self, n: int, sender: int) -> None:
         rt = self.runtimes[n]
@@ -642,26 +618,16 @@ class Engine:
 
     def _on_ctrl_adv(self, n: int, sender: int, adv: routing.ControlMessage) -> None:
         rt = self.runtimes[n]
-        self._emit("ctrl_rx", n, {"from": sender, "ctrl": "advertisement"})
+        self._emit("ctrl_rx", n, {"from": sender, "ctrl": adv.kind.value})
         self._refresh_neighbor(n, sender)
         rt.adv_cache[sender] = dict(adv.entries)
-        if routing.process_advertisement(rt.table, sender, adv, self.now):
-            self._broadcast_advs(n)
-
-    def _on_ctrl_withdraw(self, n: int, sender: int) -> None:
-        rt = self.runtimes[n]
-        self._emit("ctrl_rx", n, {"from": sender, "ctrl": "withdraw"})
-        rt.last_heard.pop(sender, None)
-        rt.adv_cache.pop(sender, None)
-        if routing.handle_withdraw(rt.table, sender, self.now):
+        if routing.process_advertisement(rt.table, sender, adv):
             self._broadcast_advs(n)
 
     def _on_ctrl_disco(self, n: int, sender: int, msg: routing.ControlMessage) -> None:
         rt = self.runtimes[n]
         self._emit(
-            "ctrl_rx",
-            n,
-            {"from": sender, "ctrl": "discovery_request", "target": msg.target},
+            "ctrl_rx", n, {"from": sender, "ctrl": msg.kind.value, "target": msg.target}
         )
         self._refresh_neighbor(n, sender)
         # Every receiver answers with a full advertisement toward the asker.
@@ -678,16 +644,9 @@ class Engine:
         )
         for m in self.links(n):
             if m != sender:
-                self._enqueue_frame(Frame(sender=n, to=m, ftype="disco", ctrl=fwd))
-
-    def _note_drop(self, pkt: transport.DataPacket, cls: str) -> None:
-        sender_rt = self.runtimes.get(pkt.src)
-        pending = sender_rt.pending.get(pkt.msg_id) if sender_rt else None
-        if pending is not None:
-            pending.last_drop_class = cls
+                self._enqueue_frame(Frame(n, m, fwd))
 
     def _on_data(self, n: int, sender: int, pkt: transport.DataPacket) -> None:
-        rt = self.runtimes[n]
         pkt.hop_trace.append(n)
         self._emit(
             "data_rx",
@@ -702,29 +661,38 @@ class Engine:
         )
         if n == pkt.dst:
             self._deliver_fragment(n, pkt)
+        elif len(pkt.hop_trace) > self.inf:
+            self._drop(n, pkt, "ttl-drop")
+        else:
+            self._forward(n, pkt)
+
+    def _on_ack(self, n: int, sender: int, ack: transport.Ack) -> None:
+        if n == ack.dst:
+            self._emit("ack_rx", n, {"msg_id": ack.msg_id, "from": sender})
+            self.runtimes[n].pending.pop(ack.msg_id, None)
             return
-        if len(pkt.hop_trace) > self.inf:
-            self._emit(
-                "drop",
-                n,
-                {"msg_id": pkt.msg_id, "fragment": pkt.fragment_index, "class": "ttl-drop"},
-            )
-            self._note_drop(pkt, "ttl-drop")
-            return
-        chosen = routing.select_next_hop(self._route_candidates(n, pkt.dst))
+        ack.hops += 1
+        if ack.hops > self.inf:
+            self._drop(n, ack, "ttl-drop")
+        else:
+            self._forward(n, ack)
+
+    def _forward(self, n: int, body: transport.DataPacket | transport.Ack) -> None:
+        """Queue a data fragment or ack toward its destination, or drop it."""
+        chosen = routing.select_next_hop(self._route_candidates(n, body.dst))
         if chosen is None:
-            self._emit(
-                "drop",
-                n,
-                {
-                    "msg_id": pkt.msg_id,
-                    "fragment": pkt.fragment_index,
-                    "class": "forward-failure",
-                },
-            )
-            self._note_drop(pkt, "forward-failure")
-            return
-        self._enqueue_frame(Frame(sender=n, to=chosen, ftype="data", pkt=pkt))
+            self._drop(n, body, "forward-failure")
+        else:
+            self._enqueue_frame(Frame(n, chosen, body))
+
+    def _drop(self, n: int, body: transport.DataPacket | transport.Ack, cls: str) -> None:
+        """Discard a data fragment or ack; a data drop also tags its transfer."""
+        is_data = isinstance(body, transport.DataPacket)
+        fragment = body.fragment_index if is_data else -1
+        self._emit("drop", n, {"msg_id": body.msg_id, "fragment": fragment, "class": cls})
+        pending = self._pending_of(body) if is_data else None
+        if pending is not None:
+            pending.last_drop_class = cls
 
     def _deliver_fragment(self, n: int, pkt: transport.DataPacket) -> None:
         rt = self.runtimes[n]
@@ -746,8 +714,7 @@ class Engine:
             # partition intact and only note the late arrival.
             self._emit("late_delivery", n, {"msg_id": pkt.msg_id})
             return
-        sender_rt = self.runtimes.get(pkt.src)
-        pending = sender_rt.pending.get(pkt.msg_id) if sender_rt else None
+        pending = self._pending_of(pkt)
         retries = pending.retransmissions if pending else 0
         latency = _t_us(self.now - pending.sent_at) if pending else None
         self._emit(
@@ -766,32 +733,7 @@ class Engine:
         self._send_ack(n, pkt)
 
     def _send_ack(self, n: int, pkt: transport.DataPacket) -> None:
-        ack = transport.Ack(msg_id=pkt.msg_id, src=n, dst=pkt.src)
-        chosen = routing.select_next_hop(self._route_candidates(n, pkt.src))
-        if chosen is None:
-            self._emit(
-                "drop", n, {"msg_id": pkt.msg_id, "fragment": -1, "class": "forward-failure"}
-            )
-            return
-        self._enqueue_frame(Frame(sender=n, to=chosen, ftype="ack", ack=ack))
-
-    def _on_ack(self, n: int, sender: int, ack: transport.Ack) -> None:
-        rt = self.runtimes[n]
-        if n == ack.dst:
-            self._emit("ack_rx", n, {"msg_id": ack.msg_id, "from": sender})
-            rt.pending.pop(ack.msg_id, None)
-            return
-        ack.hops += 1
-        if ack.hops > self.inf:
-            self._emit("drop", n, {"msg_id": ack.msg_id, "fragment": -1, "class": "ttl-drop"})
-            return
-        chosen = routing.select_next_hop(self._route_candidates(n, ack.dst))
-        if chosen is None:
-            self._emit(
-                "drop", n, {"msg_id": ack.msg_id, "fragment": -1, "class": "forward-failure"}
-            )
-            return
-        self._enqueue_frame(Frame(sender=n, to=chosen, ftype="ack", ack=ack))
+        self._forward(n, transport.Ack(msg_id=pkt.msg_id, src=n, dst=pkt.src))
 
     # ----------------------------------------------------------------- dumps
 

@@ -13,13 +13,9 @@ from enum import Enum
 MAX_NODES = 255
 NODE_ID_MAX = 254
 
-# Default (tx milliwatts, range metres) per device class. A scenario may
-# override the range inside the class band below.
-CLASS_DEFAULTS = {
-    1: (100.0, 100.0),
-    2: (2.5, 30.0),
-    3: (1.0, 10.0),
-}
+# Default range in metres per device class. A scenario may override the
+# range inside the class band below.
+CLASS_DEFAULT_RANGE = {1: 100.0, 2: 30.0, 3: 10.0}
 CLASS_RANGE_BANDS = {
     1: (40.0, 100.0),
     2: (15.0, 30.0),
@@ -35,11 +31,6 @@ class NodeState(Enum):
     OFF = "off"
 
 
-# Idle, parked and sniffing are all non-transmitting; only the active state
-# may exchange packets.
-TRANSMITTING_STATES = frozenset({NodeState.ACTIVE})
-
-
 @dataclass(frozen=True)
 class Position:
     x: float
@@ -52,19 +43,17 @@ class Position:
 @dataclass(frozen=True)
 class RadioClass:
     class_id: int
-    tx_power_mw: float
     range_m: float
 
     @classmethod
     def for_class(cls, class_id: int, range_m: float | None = None) -> "RadioClass":
-        power, default_range = CLASS_DEFAULTS[class_id]
-        r = default_range if range_m is None else range_m
+        r = CLASS_DEFAULT_RANGE[class_id] if range_m is None else range_m
         lo, hi = CLASS_RANGE_BANDS[class_id]
         if not (lo <= r <= hi):
             raise ValueError(
                 f"class {class_id} range {r} m outside the {lo}-{hi} m band"
             )
-        return cls(class_id, power, r)
+        return cls(class_id, r)
 
 
 @dataclass
@@ -95,15 +84,6 @@ def in_range(a: Node, b: Node) -> bool:
         return False
     d = a.position.distance_to(b.position)
     return d <= a.radio.range_m and d <= b.radio.range_m
-
-
-def neighbor_set(n: int, world: dict[int, Node]) -> set[int]:
-    """All peers currently in mutual range of node ``n``.
-
-    Raises KeyError for an unknown node id.
-    """
-    me = world[n]
-    return {m for m, node in world.items() if m != n and in_range(me, node)}
 
 
 def position_at(node: Node, t_hus: int) -> Position:

@@ -11,10 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .baseband import BITS_PER_SLOT, SLOT_LENGTHS, SlotClass, slots_for_payload
-
-DEFAULT_RETRIES = 3
-DEFAULT_ACK_TIMEOUT_HUS = 200_000  # 100 ms simulated
+from .baseband import BITS_PER_SLOT, SLOT_LENGTHS, SlotClass
 
 
 class OpacityViolation(AssertionError):
@@ -91,29 +88,6 @@ class DataPacket:
         assert len(self.sealed_payload) * 8 <= self.slot_class.capacity_bits
 
 
-def packets_for_message(
-    msg_id: int,
-    src: int,
-    dst: int,
-    sealed: bytes,
-    bits_per_slot: int = BITS_PER_SLOT,
-) -> list[DataPacket]:
-    """Fresh packets for every fragment of a sealed payload."""
-    pieces = fragment_sealed(sealed, bits_per_slot)
-    return [
-        DataPacket(
-            msg_id=msg_id,
-            src=src,
-            dst=dst,
-            fragment_index=i,
-            fragment_count=len(pieces),
-            sealed_payload=piece,
-            slot_class=slots_for_payload(len(piece) * 8, bits_per_slot),
-        )
-        for i, piece in enumerate(pieces)
-    ]
-
-
 @dataclass
 class Ack:
     """End-to-end acknowledgement, emitted by the destination after reassembly."""
@@ -129,11 +103,10 @@ class PendingTransfer:
     msg_id: int
     src: int
     dst: int
-    plaintext: bytes
     fragments: list[tuple[int, bytes]]
-    deadline: int
-    sent_at: int = 0
-    retries_left: int = DEFAULT_RETRIES
+    sent_at: int
+    retries_left: int
+    deadline: int = 0  # set each time the ack timer is armed
     routes_tried: set[int] = field(default_factory=set)
     retransmissions: int = 0
     last_drop_class: str | None = None

@@ -12,19 +12,25 @@ from bluehop.baseband import (
     SLOTS_PER_SECOND,
     TICK_HUS,
     TICK_US,
-    Clock,
     HopSequence,
-    NotSchedulableError,
     OversizePayloadError,
-    SlotGrant,
     hop_channel,
     next_tx_start_hus,
-    slot_owner,
     slots_for_payload,
     tx_duration_hus,
     tx_duration_us,
 )
-from bluehop.scatternet import Role
+from bluehop.scatternet import form_scatternet
+
+
+def star_scatternet():
+    """Master 0 with nine leaves: seven active slaves, then two parked."""
+    return form_scatternet({0: set(range(1, 10)), **{leaf: {0} for leaf in range(1, 10)}})
+
+
+def starts_in(slot, parity):
+    """Whether a sender of ``parity`` may start transmitting at ``slot``."""
+    return next_tx_start_hus(slot * SLOT_HUS, parity) == slot * SLOT_HUS
 
 
 class TestConstants:
@@ -37,11 +43,6 @@ class TestConstants:
         assert SLOTS_PER_SECOND == 1600
         assert SLOTS_PER_SECOND * SLOT_US == 1_000_000
         assert HOP_RATE_HZ == 1600
-
-    def test_clock_slot_arithmetic(self):
-        assert Clock(ticks=0).slot_index == 0
-        assert Clock(ticks=2).slot_index == 1
-        assert Clock(ticks=7).time_hus == 7 * 625
 
 
 class TestSlotsForPayload:
@@ -103,24 +104,27 @@ class TestHopChannel:
 
 class TestSlotOwner:
     def test_master_even(self):
-        assert slot_owner(0, Role.MASTER) is SlotGrant.MAY_TRANSMIT
-        assert slot_owner(1, Role.MASTER) is SlotGrant.MUST_RECEIVE
+        _, parity = star_scatternet().link_piconet(0, 1)
+        assert parity == 0
+        assert starts_in(0, parity) and not starts_in(1, parity)
 
     def test_slave_odd(self):
-        assert slot_owner(0, Role.ACTIVE_SLAVE) is SlotGrant.MUST_RECEIVE
-        assert slot_owner(1, Role.ACTIVE_SLAVE) is SlotGrant.MAY_TRANSMIT
+        _, parity = star_scatternet().link_piconet(1, 0)
+        assert parity == 1
+        assert starts_in(1, parity) and not starts_in(0, parity)
 
     def test_parked_not_schedulable(self):
-        with pytest.raises(NotSchedulableError):
-            slot_owner(0, Role.PARKED_SLAVE)
+        net = star_scatternet()
+        parked = net.piconets[0].parked_slaves[0]
+        assert net.link_piconet(0, parked) is None
+        assert net.link_piconet(parked, 0) is None
 
     def test_exactly_one_direction_per_slot(self):
+        net = star_scatternet()
+        master = net.link_piconet(0, 1)[1]
+        slave = net.link_piconet(1, 0)[1]
         for slot in range(10):
-            grants = {
-                slot_owner(slot, Role.MASTER),
-                slot_owner(slot, Role.ACTIVE_SLAVE),
-            }
-            assert grants == {SlotGrant.MAY_TRANSMIT, SlotGrant.MUST_RECEIVE}
+            assert starts_in(slot, master) != starts_in(slot, slave)
 
 
 class TestNextTxStart:

@@ -7,7 +7,6 @@ from bluehop.routing import (
     handle_withdraw,
     init_routing,
     make_advertisement,
-    next_hop,
     process_advertisement,
     select_next_hop,
     trigger_discovery,
@@ -36,7 +35,7 @@ def converge(adjacency, tables=None, max_rounds=200):
         ]
         changed = False
         for a, b, adv in batch:
-            changed |= process_advertisement(tables[b], a, adv, rounds)
+            changed |= process_advertisement(tables[b], a, adv)
         if not changed:
             return tables, rounds
     raise AssertionError("advertisement exchange did not quiesce")
@@ -99,7 +98,7 @@ class TestProcessAdvertisement:
         adjacency = {0: {1}, 1: {0, 2}, 2: {1}}
         tables, _ = converge(adjacency)
         again = make_advertisement(tables[1], 0)
-        assert process_advertisement(tables[0], 1, again, 99) is False
+        assert process_advertisement(tables[0], 1, again) is False
 
     def test_poisoned_route_is_adopted(self):
         adjacency = {0: {1}, 1: {0, 2}, 2: {1}}
@@ -107,7 +106,7 @@ class TestProcessAdvertisement:
         poisoned = ControlMessage(
             MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0), (2, INF))
         )
-        process_advertisement(tables[0], 1, poisoned, 100)
+        process_advertisement(tables[0], 1, poisoned)
         residual = {0: {1}, 1: {0}}
         assert tables[0].cost_to(2) == INF
         assert tables[0].cost_to(1) == bfs_distances(residual, 0)[1]
@@ -118,14 +117,14 @@ class TestProcessAdvertisement:
         worse = ControlMessage(
             MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0), (2, 5))
         )
-        assert process_advertisement(tables[0], 1, worse, 100) is True
+        assert process_advertisement(tables[0], 1, worse) is True
         assert tables[0].entries[2].cost == 6
 
     def test_missing_destination_via_advertiser_is_poisoned(self):
         adjacency = {0: {1}, 1: {0, 2}, 2: {1}}
         tables, _ = converge(adjacency)
         silent = ControlMessage(MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0),))
-        assert process_advertisement(tables[0], 1, silent, 100) is True
+        assert process_advertisement(tables[0], 1, silent) is True
         assert tables[0].cost_to(2) == INF
 
     def test_self_entry_is_permanent(self):
@@ -133,29 +132,27 @@ class TestProcessAdvertisement:
         hostile = ControlMessage(
             MessageKind.ADVERTISEMENT, origin=1, entries=((0, 9), (1, 0))
         )
-        process_advertisement(table, 1, hostile, 1)
+        process_advertisement(table, 1, hostile)
         assert table.entries[0].cost == 0 and table.entries[0].next_hop == 0
 
     def test_rejects_non_advertisement(self):
         table = init_routing(0, {1})
         with pytest.raises(ValueError):
-            process_advertisement(
-                table, 1, ControlMessage(MessageKind.WITHDRAW, origin=1), 0
-            )
+            process_advertisement(table, 1, ControlMessage(MessageKind.WITHDRAW, origin=1))
 
 
 class TestHandleWithdraw:
     def test_line_poisons_route_through_withdrawn(self):
         adjacency = {0: {1}, 1: {0, 2}, 2: {1}}
         tables, _ = converge(adjacency)
-        assert handle_withdraw(tables[0], 1, 50) is True
+        assert handle_withdraw(tables[0], 1) is True
         assert 1 not in tables[0].entries
         assert tables[0].cost_to(2) == INF
 
     def test_unknown_node_changes_nothing(self):
         table = init_routing(0, {1})
         before = {d: (e.next_hop, e.cost) for d, e in table.entries.items()}
-        assert handle_withdraw(table, 42, 50) is False
+        assert handle_withdraw(table, 42) is False
         assert {d: (e.next_hop, e.cost) for d, e in table.entries.items()} == before
 
     @pytest.mark.parametrize("seed", range(12))
@@ -171,7 +168,7 @@ class TestHandleWithdraw:
         }
         # The farewell reaches the immediate neighbours only.
         for m in sorted(adjacency[leaving]):
-            handle_withdraw(tables[m], leaving, 50)
+            handle_withdraw(tables[m], leaving)
         del tables[leaving]
         # A next hop is always a direct neighbour, so nobody else can have
         # been routing via the withdrawn node; verify immediately and then
@@ -194,7 +191,7 @@ class TestHandleWithdraw:
                 for b in sorted(residual[a])
             ]
             for a, b, adv in batch:
-                process_advertisement(tables[b], a, adv, 60)
+                process_advertisement(tables[b], a, adv)
         converge(residual, tables)
         assert_matches_bfs(tables, residual)
 
@@ -202,17 +199,17 @@ class TestHandleWithdraw:
 class TestNextHop:
     def test_self_delivery(self):
         table = init_routing(4, {1})
-        assert next_hop(table, 4) == 4
+        assert (table.entries[4].next_hop, table.cost_to(4)) == (4, 0)
 
     def test_direct_neighbor(self):
         table = init_routing(0, {5})
-        assert next_hop(table, 5) == 5
+        assert (table.entries[5].next_hop, table.cost_to(5)) == (5, 1)
 
     def test_poisoned_entry_is_no_route(self):
         table = init_routing(0, {1})
-        handle_withdraw(table, 1, 10)
-        assert next_hop(table, 1) is None
-        assert next_hop(table, 9) is None
+        handle_withdraw(table, 1)
+        assert table.cost_to(1) == INF
+        assert table.cost_to(9) == INF
 
 
 class TestSelectNextHop:
@@ -248,9 +245,7 @@ class TestDiscovery:
         while inbox:
             sender, node, msg = inbox.pop(0)
             # Every receiver answers with a full advertisement to the asker.
-            process_advertisement(
-                tables[sender], node, make_advertisement(tables[node], sender), 1
-            )
+            process_advertisement(tables[sender], node, make_advertisement(tables[node], sender))
             key = (msg.origin, msg.target)
             if key in seen[node] or msg.ttl <= 1 or node == msg.target:
                 continue

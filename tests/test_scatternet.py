@@ -38,7 +38,7 @@ def check_invariants(net, adjacency):
 
 class TestFormation:
     def test_isolated_node_masters_itself(self):
-        net = form_scatternet({0: set()}, seed=1)
+        net = form_scatternet({0: set()})
         assert len(net.piconets) == 1
         assert net.piconets[0].master == 0
         assert net.piconets[0].active_slaves == []
@@ -48,7 +48,7 @@ class TestFormation:
         adjacency = {0: set(range(1, 10))}
         for leaf in range(1, 10):
             adjacency[leaf] = {0}
-        net = form_scatternet(adjacency, seed=1)
+        net = form_scatternet(adjacency)
         pico = net.piconets[0]
         assert pico.master == 0
         assert len(pico.active_slaves) == 7
@@ -65,7 +65,7 @@ class TestFormation:
                 for b in group:
                     if a != b:
                         adjacency[a].add(b)
-        net = form_scatternet(adjacency, seed=1)
+        net = form_scatternet(adjacency)
         check_invariants(net, adjacency)
         assert net.piconets[0].master == 3
 
@@ -82,7 +82,7 @@ class TestFormation:
             4: {6},
             5: {6},
         }
-        net = form_scatternet(adjacency, seed=1)
+        net = form_scatternet(adjacency)
         check_invariants(net, adjacency)
         assert 3 in net.bridge_nodes
         assert set(net.memberships[3]) == {0, 1}
@@ -91,20 +91,20 @@ class TestFormation:
     def test_deterministic(self):
         positions = random_positions(99, n_range=(10, 20))
         adjacency = geometric_adjacency(positions)
-        a = scatternet_to_json(form_scatternet(adjacency, seed=5))
-        b = scatternet_to_json(form_scatternet(adjacency, seed=5))
+        a = scatternet_to_json(form_scatternet(adjacency))
+        b = scatternet_to_json(form_scatternet(adjacency))
         assert a == b
 
     def test_over_capacity_rejected(self):
         adjacency = {i: set() for i in range(256)}
         with pytest.raises(CapacityError):
-            form_scatternet(adjacency, seed=0)
+            form_scatternet(adjacency)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_invariants_on_random_graphs(self, seed):
         positions = random_positions(seed, n_range=(5, 25))
         adjacency = geometric_adjacency(positions)
-        net = form_scatternet(adjacency, seed=seed)
+        net = form_scatternet(adjacency)
         check_invariants(net, adjacency)
 
 
@@ -113,7 +113,7 @@ class TestLinkAllowed:
         # Chain of three: 0-1-2, all class 3 at 8 m spacing.
         self.positions = {0: (0.0, 0.0), 1: (8.0, 0.0), 2: (16.0, 0.0)}
         self.world = make_world(self.positions)
-        self.net = form_scatternet(geometric_adjacency(self.positions), seed=0)
+        self.net = form_scatternet(geometric_adjacency(self.positions))
 
     def test_geometric_mode_equals_in_range(self):
         assert link_allowed(0, 1, self.world, None, LinkMode.GEOMETRIC)
@@ -123,7 +123,7 @@ class TestLinkAllowed:
         # Star: center 0 with slaves in mutual range of each other.
         positions = {0: (0.0, 0.0), 1: (4.0, 0.0), 2: (0.0, 4.0)}
         world = make_world(positions)
-        net = form_scatternet(geometric_adjacency(positions), seed=0)
+        net = form_scatternet(geometric_adjacency(positions))
         pico = net.piconets[0]
         s1, s2 = pico.active_slaves
         assert link_allowed(pico.master, s1, world, net, LinkMode.SCATTERNET)
@@ -138,7 +138,7 @@ class TestLinkAllowed:
         for leaf in range(1, 10):
             positions[leaf] = (rng.uniform(-5, 5), rng.uniform(-5, 5))
         world = make_world(positions)
-        net = form_scatternet(adjacency, seed=0)
+        net = form_scatternet(adjacency)
         parked = net.piconets[0].parked_slaves[0]
         assert not link_allowed(0, parked, world, net, LinkMode.SCATTERNET)
 
@@ -151,7 +151,7 @@ class TestLinkAllowed:
     def test_scatternet_links_subset_of_geometric(self, seed):
         positions = random_positions(seed, n_range=(5, 20))
         world = make_world(positions)
-        net = form_scatternet(geometric_adjacency(positions), seed=seed)
+        net = form_scatternet(geometric_adjacency(positions))
         for a in positions:
             for b in positions:
                 if a != b and link_allowed(a, b, world, net, LinkMode.SCATTERNET):
@@ -161,7 +161,7 @@ class TestLinkAllowed:
 class TestDump:
     def test_json_shape(self):
         positions = {0: (0.0, 0.0), 1: (5.0, 0.0)}
-        net = form_scatternet(geometric_adjacency(positions), seed=0)
+        net = form_scatternet(geometric_adjacency(positions))
         dump = scatternet_to_json(net)
         assert dump["piconets"][0]["master"] == 0
         assert dump["piconets"][0]["active_slaves"] == [1]

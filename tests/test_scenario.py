@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bluehop.scenario import (
     ScenarioError,
@@ -9,6 +11,7 @@ from bluehop.scenario import (
     validate_scenario,
 )
 from bluehop.scatternet import LinkMode
+from bluehop.simkernel import Engine
 from bluehop.topology import NodeState
 
 
@@ -141,6 +144,110 @@ class TestRejects:
         data = minimal()
         data["nodes"][0]["id"] = 255
         assert any("[0, 254]" in m for m in errors_of(data))
+
+
+def with_node(field, value):
+    data = minimal()
+    data["nodes"][0][field] = value
+    return data
+
+
+class TestTimeGranularity:
+    # The kernel's clock counts whole half-microseconds (0.5 us); 1e-7 s
+    # rounds to none of them.
+    @pytest.mark.parametrize("field", ["t_adv", "t_ack"])
+    def test_protocol_period_rounding_to_zero(self, field):
+        msgs = errors_of(minimal(protocol={field: 1e-7}))
+        assert any(m.startswith(f"protocol.{field}:") for m in msgs)
+
+    def test_horizon_rounding_to_zero(self):
+        assert any(m.startswith("horizon:") for m in errors_of(minimal(horizon=1e-7)))
+
+    def test_waypoint_times_colliding_once_rounded(self):
+        data = with_node("waypoints", [[1.0, 0.0, 0.0], [1.0 + 1e-7, 2.0, 2.0]])
+        assert any("strictly increasing" in m for m in errors_of(data))
+
+    def test_one_half_microsecond_is_accepted(self):
+        data = minimal(horizon=5e-7, protocol={"t_adv": 5e-7, "t_ack": 5e-7})
+        data["nodes"][0]["waypoints"] = [[0.0, 0.0, 0.0], [5e-7, 1.0, 1.0]]
+        config = validate_scenario(data)
+        assert (config.horizon_hus, config.protocol.t_adv_hus, config.protocol.t_ack_hus) == (1, 1, 1)
+        assert [t for t, _, _ in config.nodes[0].waypoints] == [0, 1]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "data,path",
+        [
+            (minimal(horizon=math.inf), "horizon"),
+            (minimal(horizon=1e303), "horizon"),  # finite, but not in half-microseconds
+            (minimal(protocol={"t_adv": math.nan}), "protocol.t_adv"),
+            (with_node("x", math.nan), "nodes[0].x"),
+            (with_node("y", -math.inf), "nodes[0].y"),
+            (with_node("waypoints", [[math.inf, 0.0, 0.0]]), "nodes[0].waypoints[0]"),
+            (minimal(actions=[{"time": math.nan, "node": 0, "action": "withdraw"}]), "actions[0].time"),
+        ],
+    )
+    def test_rejected(self, data, path):
+        assert any(m.startswith(f"{path}:") for m in errors_of(data))
+
+
+# JSON-like values, weighted toward the numbers that break naive checks.
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 300),
+    st.sampled_from([0.0, 1e-7, 2.4e-7, 2.6e-7, 5e-7, 1e-300, 1e303, 0.5, 1.0]),
+)
+JSON = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+NODE = st.fixed_dictionaries(
+    {"id": st.integers(0, 4) | JSON, "x": NUMBERS, "y": NUMBERS, "class": st.sampled_from([1, 2, 3]) | JSON},
+    optional={
+        "range": NUMBERS,
+        "state": st.sampled_from(["active", "off", "parked"]) | JSON,
+        "waypoints": st.lists(st.lists(NUMBERS, min_size=3, max_size=3) | JSON, max_size=3),
+    },
+)
+SCENARIO = st.fixed_dictionaries(
+    {"horizon": NUMBERS, "nodes": st.lists(NODE, max_size=4)},
+    optional={
+        "link_mode": st.sampled_from(["geometric", "scatternet"]) | JSON,
+        "rate_multiplier": st.integers(0, 4) | JSON,
+        "protocol": st.fixed_dictionaries(
+            {}, optional={"t_adv": NUMBERS, "t_ack": NUMBERS, "retries": NUMBERS, "inf": NUMBERS}
+        ),
+        "traffic": st.lists(
+            st.fixed_dictionaries(
+                {"time": NUMBERS, "src": st.integers(0, 4), "dst": st.integers(0, 4),
+                 "payload_bytes": NUMBERS},
+                optional={"count": NUMBERS, "interval": NUMBERS},
+            ),
+            max_size=2,
+        ),
+        "actions": st.lists(
+            st.fixed_dictionaries(
+                {"time": NUMBERS, "node": st.integers(0, 4),
+                 "action": st.sampled_from(["set_state", "withdraw"]) | JSON},
+                optional={"state": st.sampled_from(["active", "off"]) | JSON},
+            ),
+            max_size=2,
+        ),
+    },
+)
+
+
+@given(SCENARIO | JSON)
+def test_validation_is_total(data):
+    # Either every problem is reported or the engine accepts the config; the
+    # engine is only built, never run, so no input can stall the suite.
+    try:
+        config = validate_scenario(data)
+    except ScenarioError:
+        return
+    Engine(config, 0)
 
 
 class TestParseFile:

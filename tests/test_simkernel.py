@@ -14,26 +14,26 @@ from conftest import geometric_scenario
 class TestEventQueue:
     def test_orders_by_time(self):
         q = EventQueue()
-        q.schedule(0, 30, EventKind.MOTION_UPDATE, {"tag": "b"})
-        q.schedule(0, 10, EventKind.MOTION_UPDATE, {"tag": "a"})
-        assert q.pop().payload["tag"] == "a"
-        assert q.pop().payload["tag"] == "b"
+        q.schedule(0, 30, EventKind.MOTION_UPDATE, "b")
+        q.schedule(0, 10, EventKind.MOTION_UPDATE, "a")
+        assert q.pop().args == ("a",)
+        assert q.pop().args == ("b",)
 
     def test_equal_times_pop_in_scheduling_order(self):
         q = EventQueue()
         for tag in ("first", "second", "third"):
-            q.schedule(0, 5, EventKind.MOTION_UPDATE, {"tag": tag})
-        assert [q.pop().payload["tag"] for _ in range(3)] == ["first", "second", "third"]
+            q.schedule(0, 5, EventKind.MOTION_UPDATE, tag)
+        assert [q.pop().args[0] for _ in range(3)] == ["first", "second", "third"]
 
     def test_event_at_current_time_is_allowed(self):
         q = EventQueue()
-        q.schedule(7, 7, EventKind.MOTION_UPDATE, {})
+        q.schedule(7, 7, EventKind.MOTION_UPDATE)
         assert q.pop().time == 7
 
     def test_past_event_raises_causality_error(self):
         q = EventQueue()
         with pytest.raises(CausalityError):
-            q.schedule(10, 9, EventKind.MOTION_UPDATE, {})
+            q.schedule(10, 9, EventKind.MOTION_UPDATE)
 
 
 class TestKernelBasics:
@@ -56,7 +56,7 @@ class TestKernelBasics:
         )
         engine = Engine(config, 0)
         engine.run(until=0)
-        engine.queue.schedule(0, engine.horizon * 5, EventKind.MOTION_UPDATE, {})
+        engine.queue.schedule(0, engine.horizon * 5, EventKind.MOTION_UPDATE)
         engine.run()
         assert all(r["kind"] != "motion" for r in engine.trace)
 

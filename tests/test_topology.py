@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from bluehop.scatternet import LinkMode, link_allowed
 from bluehop.topology import (
     Node,
     NodeState,
@@ -10,7 +11,6 @@ from bluehop.topology import (
     RadioClass,
     apply_motion,
     in_range,
-    neighbor_set,
     position_at,
     set_node_state,
 )
@@ -24,6 +24,11 @@ def make_node(nid, x, y, class_id=3, state=NodeState.ACTIVE, waypoints=()):
         state=state,
         waypoints=list(waypoints),
     )
+
+
+def neighbor_set(n, world):
+    """Peers of ``n`` under the geometric link rule the kernel's adjacency uses."""
+    return {m for m in world if link_allowed(n, m, world, None, LinkMode.GEOMETRIC)}
 
 
 class TestInRange:

@@ -13,9 +13,10 @@ from bluehop.transport import (
     max_fragment_bytes,
     open_payload,
     open_payload_at,
-    packets_for_message,
     seal_payload,
 )
+from bluehop.scenario import validate_scenario
+from bluehop.simkernel import run_scenario
 
 
 def keystream_oracle(seed, src, dst, length):
@@ -83,12 +84,24 @@ class TestFragmentation:
         assert max_fragment_bytes() == (5 * 625) // 8 == 390
 
     def test_packets_carry_fragment_metadata(self):
-        sealed = b"a" * 875
-        pkts = packets_for_message(9, 1, 2, sealed)
-        assert [p.fragment_index for p in pkts] == [0, 1, 2]
-        assert all(p.fragment_count == 3 for p in pkts)
-        assert [p.slot_class.slots for p in pkts] == [5, 5, 3]
-        assert all(p.hop_trace == [1] for p in pkts)
+        # 875 sealed bytes between two neighbours: fragments of 390, 390 and
+        # 95 bytes go out as 5-, 5- and 3-slot packets.
+        config = validate_scenario(
+            {
+                "horizon": 0.5,
+                "nodes": [
+                    {"id": 1, "x": 0.0, "y": 0.0, "class": 3},
+                    {"id": 2, "x": 5.0, "y": 0.0, "class": 3},
+                ],
+                "traffic": [{"time": 0.1, "src": 1, "dst": 2, "payload_bytes": 875}],
+            }
+        )
+        _, trace = run_scenario(config, 0)
+        tx = [r["detail"] for r in trace if r["kind"] == "data_tx"]
+        assert [d["fragment"] for d in tx] == [0, 1, 2]
+        assert [d["slots"] for d in tx] == [5, 5, 3]
+        rx = [r["detail"] for r in trace if r["kind"] == "data_rx"]
+        assert all(d["hop_trace"] == [1, 2] for d in rx)
 
     def test_rate_multiplier_raises_fragment_cap(self):
         sealed = b"a" * 875
@@ -119,6 +132,6 @@ class TestTypes:
         assert (ack.src, ack.dst) == (9, 1)
 
     def test_pending_transfer_defaults(self):
-        pt = PendingTransfer(1, 0, 9, b"p", [(0, b"p")], deadline=100)
-        assert pt.retries_left == 3
+        pt = PendingTransfer(1, 0, 9, [(0, b"p")], sent_at=0, retries_left=3)
         assert pt.routes_tried == set()
+        assert (pt.retransmissions, pt.last_drop_class) == (0, None)
