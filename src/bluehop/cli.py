@@ -1,12 +1,14 @@
 """Command-line entry points: run scenarios, dump tables, dump topology.
 
-Exit codes: 0 success, 1 scenario validation error, 2 runtime error.
+Exit codes: 0 success, 1 scenario validation error, 2 runtime or usage error.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -33,16 +35,25 @@ def _write_outputs(out_dir: Path, engine: Engine) -> None:
             writer.writerow(row)
 
 
-def _parse_seeds(args) -> list[int]:
-    if args.seeds:
-        lo, _, hi = args.seeds.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [args.seed]
+def _seed_range(text: str) -> list[int]:
+    """Argument type of ``--seeds``: an inclusive integer range A..B with A <= B."""
+    match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
+    if match is None or int(match[1]) > int(match[2]):
+        raise argparse.ArgumentTypeError(f"expected integers A..B with A <= B, got {text!r}")
+    return list(range(int(match[1]), int(match[2]) + 1))
+
+
+def _sim_seconds(text: str) -> float:
+    """Argument type of ``--at``: a finite number of simulated seconds, at least 0."""
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"expected finite seconds >= 0, got {text!r}")
+    return value
 
 
 def _cmd_run(args) -> int:
     config = parse_scenario(args.scenario)
-    seeds = _parse_seeds(args)
+    seeds = args.seeds or [args.seed]
     base = Path(args.out)
     for seed in seeds:
         engine = Engine(config, seed)
@@ -78,14 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario and write report, trace, deliveries")
     p_run.add_argument("scenario", help="scenario JSON file")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--seeds", help="inclusive seed range A..B for a sweep")
+    p_run.add_argument("--seeds", type=_seed_range, help="inclusive seed range A..B for a sweep")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=_cmd_run)
 
     p_tables = sub.add_parser("tables", help="dump every routing table at a simulated time")
     p_tables.add_argument("scenario")
     p_tables.add_argument("--seed", type=int, default=0)
-    p_tables.add_argument("--at", type=float, required=True, help="simulated seconds")
+    p_tables.add_argument("--at", type=_sim_seconds, required=True, help="simulated seconds")
     p_tables.set_defaults(func=_cmd_tables)
 
     p_topo = sub.add_parser("topo", help="dump the adjacency (and scatternet) at t=0")

@@ -153,24 +153,13 @@ def deliveries_from_trace(trace: list[dict]) -> list[dict]:
     for record in trace:
         kind = record["kind"]
         detail = record.get("detail") or {}
-        if kind == "msg_send":
+        if kind in ("msg_send", "msg_rejected"):
             rows[detail["msg_id"]] = {
                 "msg_id": detail["msg_id"],
                 "src": record["node"],
                 "dst": detail["dst"],
                 "bytes": detail["bytes"],
-                "outcome": "pending",
-                "hops": "",
-                "latency_us": "",
-                "retries": 0,
-            }
-        elif kind == "msg_rejected":
-            rows[detail["msg_id"]] = {
-                "msg_id": detail["msg_id"],
-                "src": record["node"],
-                "dst": detail["dst"],
-                "bytes": detail["bytes"],
-                "outcome": "rejected",
+                "outcome": "pending" if kind == "msg_send" else "rejected",
                 "hops": "",
                 "latency_us": "",
                 "retries": 0,

@@ -14,6 +14,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from . import baseband, metrics, routing, scatternet, topology, transport
 from .scatternet import LinkMode, Scatternet
@@ -37,8 +38,7 @@ class EventKind(Enum):
     SCENARIO_ACTION = "scenario_action"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time: int
     sequence: int
     kind: EventKind
@@ -49,25 +49,23 @@ class EventQueue:
     """Min-heap of events ordered by (time, scheduling sequence)."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[Event] = []
         self._sequence = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, now: int, time: int, kind: EventKind, *args) -> Event:
+    def schedule(self, now: int, time: int, kind: EventKind, *args) -> None:
         if time < now:
             raise CausalityError(f"event at {time} scheduled from {now}")
-        event = Event(time, self._sequence, kind, args)
+        heapq.heappush(self._heap, Event(time, self._sequence, kind, args))
         self._sequence += 1
-        heapq.heappush(self._heap, (time, event.sequence, event))
-        return event
 
     def peek_time(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
+        return self._heap[0].time if self._heap else None
 
     def pop(self) -> Event:
-        return heapq.heappop(self._heap)[2]
+        return heapq.heappop(self._heap)
 
 
 Body = routing.ControlMessage | transport.DataPacket | transport.Ack
@@ -100,12 +98,10 @@ def _ftype(body: Body) -> str:
 
 @dataclass
 class NodeRuntime:
-    """Per-node protocol and radio state owned by the kernel."""
+    """Per-node radio, liveness and transport state; routing state lives in ``table``."""
 
     table: routing.RoutingTable
-    adv_cache: dict[int, dict[int, int]] = field(default_factory=dict)
     last_heard: dict[int, int] = field(default_factory=dict)
-    discovery_seen: set[tuple[int, int]] = field(default_factory=set)
     txq: deque = field(default_factory=deque)
     busy_until: int = 0
     queued_advs: set[int] = field(default_factory=set)
@@ -152,6 +148,7 @@ class Engine:
         # never double-count an outcome.
         self._delivered_msgs: set[int] = set()
         self._failed_msgs: set[int] = set()
+        self._sent_at: dict[int, int] = {}
         for spec in config.nodes:
             node = Node(
                 id=spec.id,
@@ -280,13 +277,13 @@ class Engine:
     def _init_node_routing(self, n: int) -> None:
         neighbors = self.links(n)
         self.runtimes[n] = NodeRuntime(table=routing.init_routing(n, neighbors, self.inf))
-        rt = self.runtimes[n]
         for m in neighbors:
-            rt.last_heard[m] = self.now
-            self._arm_expiry(n, m)
+            self._refresh_neighbor(n, m)
             self._enqueue_adv(n, m)
 
-    def _arm_expiry(self, n: int, neighbor: int) -> None:
+    def _refresh_neighbor(self, n: int, neighbor: int) -> None:
+        """Note ``neighbor`` as heard now and arm the check that expires it."""
+        self.runtimes[n].last_heard[neighbor] = self.now
         self.queue.schedule(
             self.now,
             self.now + NEIGHBOR_MISS_BUDGET * self.t_adv,
@@ -314,32 +311,19 @@ class Engine:
     def _route_candidates(self, n: int, dest: int) -> list[tuple[int, int]]:
         """Minimal-cost next hops toward ``dest`` with their queue depths."""
         rt = self.runtimes[n]
-        entry = rt.table.entries.get(dest)
-        if entry is None or entry.cost >= self.inf:
-            return []
-        links = self.links(n)
-        cands = [
-            m
-            for m in links
-            if m in rt.adv_cache
-            and min(rt.adv_cache[m].get(dest, self.inf), self.inf) + 1 == entry.cost
-        ]
-        if not cands and entry.next_hop in links:
-            cands = [entry.next_hop]
-        return [(m, rt.queue_depth.get(m, 0)) for m in cands]
+        hops = routing.next_hops(rt.table, dest, self.links(n))
+        return [(m, rt.queue_depth.get(m, 0)) for m in hops]
 
     def _trigger_discovery(self, n: int, target: int) -> None:
-        rt = self.runtimes[n]
         self._emit("discovery", n, {"target": target})
-        rt.discovery_seen.add((n, target))
-        for to, msg in routing.trigger_discovery(n, target, self.links(n), self.inf):
-            self._enqueue_frame(Frame(n, to, msg))
+        msg = routing.trigger_discovery(self.runtimes[n].table, target)
+        for m in self.links(n):
+            self._enqueue_frame(Frame(n, m, msg))
 
     def _forget_neighbor(self, n: int, neighbor: int) -> None:
         """Drop a departed or silent neighbour and poison the routes through it."""
         rt = self.runtimes[n]
         rt.last_heard.pop(neighbor, None)
-        rt.adv_cache.pop(neighbor, None)
         if routing.handle_withdraw(rt.table, neighbor):
             self._broadcast_advs(n)
 
@@ -494,12 +478,12 @@ class Engine:
                 "plaintext": plaintext.hex(),
             },
         )
+        self._sent_at[msg_id] = self.now
         pending = transport.PendingTransfer(
             msg_id=msg_id,
             src=src,
             dst=dst,
             fragments=list(enumerate(pieces)),
-            sent_at=self.now,
             retries_left=self.retries,
         )
         self.runtimes[src].pending[msg_id] = pending
@@ -611,37 +595,22 @@ class Engine:
         else:
             self._on_ack(n, sender, body)
 
-    def _refresh_neighbor(self, n: int, sender: int) -> None:
-        rt = self.runtimes[n]
-        rt.last_heard[sender] = self.now
-        self._arm_expiry(n, sender)
-
     def _on_ctrl_adv(self, n: int, sender: int, adv: routing.ControlMessage) -> None:
-        rt = self.runtimes[n]
         self._emit("ctrl_rx", n, {"from": sender, "ctrl": adv.kind.value})
         self._refresh_neighbor(n, sender)
-        rt.adv_cache[sender] = dict(adv.entries)
-        if routing.process_advertisement(rt.table, sender, adv):
+        if routing.process_advertisement(self.runtimes[n].table, sender, adv):
             self._broadcast_advs(n)
 
     def _on_ctrl_disco(self, n: int, sender: int, msg: routing.ControlMessage) -> None:
-        rt = self.runtimes[n]
         self._emit(
             "ctrl_rx", n, {"from": sender, "ctrl": msg.kind.value, "target": msg.target}
         )
         self._refresh_neighbor(n, sender)
         # Every receiver answers with a full advertisement toward the asker.
         self._enqueue_adv(n, sender)
-        key = (msg.origin, msg.target)
-        if key in rt.discovery_seen or msg.ttl <= 1 or n == msg.target:
+        fwd = routing.forward_discovery(self.runtimes[n].table, msg)
+        if fwd is None:
             return
-        rt.discovery_seen.add(key)
-        fwd = routing.ControlMessage(
-            routing.MessageKind.DISCOVERY_REQUEST,
-            origin=msg.origin,
-            target=msg.target,
-            ttl=msg.ttl - 1,
-        )
         for m in self.links(n):
             if m != sender:
                 self._enqueue_frame(Frame(n, m, fwd))
@@ -716,7 +685,6 @@ class Engine:
             return
         pending = self._pending_of(pkt)
         retries = pending.retransmissions if pending else 0
-        latency = _t_us(self.now - pending.sent_at) if pending else None
         self._emit(
             "delivery",
             n,
@@ -725,7 +693,7 @@ class Engine:
                 "src": pkt.src,
                 "bytes": len(plaintext),
                 "hops": len(pkt.hop_trace) - 1,
-                "latency_us": latency,
+                "latency_us": _t_us(self.now - self._sent_at[pkt.msg_id]),
                 "retries": retries,
                 "plaintext": plaintext.hex(),
             },

@@ -104,7 +104,6 @@ class PendingTransfer:
     src: int
     dst: int
     fragments: list[tuple[int, bytes]]
-    sent_at: int
     retries_left: int
     deadline: int = 0  # set each time the ack timer is armed
     routes_tried: set[int] = field(default_factory=set)

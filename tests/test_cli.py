@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from bluehop import scenario_path
 from bluehop.cli import main
 
@@ -78,3 +80,45 @@ class TestExitCodes:
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the output directory should go")
         assert main(["run", scenario_path("figure4.json"), "--out", str(blocker)]) == 2
+
+    @pytest.mark.parametrize("seeds", ["3..1", "3", "a..b", "1..x"])
+    def test_bad_seed_range_is_usage_error(self, seeds, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", scenario_path("figure4.json"), "--seeds", seeds, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("at", ["nan", "inf", "-1", "x"])
+    def test_bad_time_is_usage_error(self, at, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", scenario_path("line5.json"), "--at", at])
+        assert exc.value.code == 2
+        assert "--at" in capsys.readouterr().err
+
+    def test_delivery_after_source_reboot(self, tmp_path):
+        # The source power-cycles while its first message is in flight, so
+        # the delivery happens after its retransmission state was dropped.
+        scenario = tmp_path / "reboot.json"
+        scenario.write_text(json.dumps({
+            "horizon": 1.0,
+            "nodes": [
+                {"id": 0, "x": 0, "y": 0, "class": 3},
+                {"id": 1, "x": 8, "y": 0, "class": 3},
+                {"id": 2, "x": 16, "y": 0, "class": 3},
+            ],
+            "traffic": [
+                {"time": 0.1, "src": 0, "dst": 2, "payload_bytes": 20},
+                {"time": 0.5, "src": 0, "dst": 2, "payload_bytes": 20},
+            ],
+            "actions": [
+                {"time": 0.1002, "node": 0, "action": "set_state", "state": "off"},
+                {"time": 0.1004, "node": 0, "action": "set_state", "state": "active"},
+            ],
+        }))
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 0
+        with open(out / "deliveries.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert (rows[0]["outcome"], rows[0]["latency_us"]) == ("delivered", "1250")

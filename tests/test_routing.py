@@ -4,9 +4,12 @@ from bluehop.routing import (
     INF,
     ControlMessage,
     MessageKind,
+    RouteEntry,
+    forward_discovery,
     handle_withdraw,
     init_routing,
     make_advertisement,
+    next_hops,
     process_advertisement,
     select_next_hop,
     trigger_discovery,
@@ -77,12 +80,12 @@ class TestMakeAdvertisement:
 
     def test_poisons_routes_via_receiver(self):
         table = init_routing(0, {1})
-        table.entries[2] = type(table.entries[1])(2, 1, 2)  # dest 2 via 1
+        table.entries[2] = RouteEntry(1, 2)  # dest 2 via 1
         assert adv_of(table, 1)[2] == INF
 
     def test_other_routes_untouched(self):
         table = init_routing(0, {1, 3})
-        table.entries[2] = type(table.entries[1])(2, 3, 2)  # dest 2 via 3
+        table.entries[2] = RouteEntry(3, 2)  # dest 2 via 3
         assert adv_of(table, 1)[2] == 2
 
 
@@ -226,37 +229,86 @@ class TestSelectNextHop:
         assert select_next_hop([]) is None
 
 
+class TestNextHops:
+    @staticmethod
+    def diamond():
+        # 0 reaches 3 over 1 or 2; both relays advertise it at cost 1.
+        adjacency = {0: {1, 2}, 1: {0, 3}, 2: {0, 3}, 3: {1, 2}}
+        tables, _ = converge(adjacency)
+        return tables[0]
+
+    def test_every_equal_cost_neighbor(self):
+        assert next_hops(self.diamond(), 3, (1, 2)) == [1, 2]
+
+    def test_unlinked_neighbor_is_skipped(self):
+        assert next_hops(self.diamond(), 3, (2,)) == [2]
+
+    def test_falls_back_to_linked_next_hop(self):
+        table = self.diamond()
+        table.heard.clear()
+        via = table.entries[3].next_hop
+        assert next_hops(table, 3, (1, 2)) == [via]
+        assert next_hops(table, 3, tuple({1, 2} - {via})) == []
+
+    def test_unreachable_destination(self):
+        table = self.diamond()
+        assert next_hops(table, 9, (1, 2)) == []
+        handle_withdraw(table, 1)
+        handle_withdraw(table, 2)
+        assert table.cost_to(3) == INF
+        assert next_hops(table, 3, (1, 2)) == []
+
+    def test_withdraw_forgets_the_vector(self):
+        table = self.diamond()
+        handle_withdraw(table, 1)
+        assert set(table.heard) == {2}
+
+
 class TestDiscovery:
     def test_request_fanout(self):
-        msgs = trigger_discovery(0, 9, {1, 2})
-        assert [to for to, _ in msgs] == [1, 2]
-        assert all(m.kind is MessageKind.DISCOVERY_REQUEST for _, m in msgs)
-        assert all(m.target == 9 and m.ttl == INF for _, m in msgs)
+        table = init_routing(0, {1, 2})
+        msg = trigger_discovery(table, 9)
+        assert msg.kind is MessageKind.DISCOVERY_REQUEST
+        assert (msg.origin, msg.target, msg.ttl) == (0, 9, INF)
+        assert (0, 9) in table.discovery_seen
+
+    def test_forward_once_with_one_less_ttl(self):
+        table = init_routing(5, set())
+        msg = ControlMessage(MessageKind.DISCOVERY_REQUEST, origin=0, target=9, ttl=4)
+        fwd = forward_discovery(table, msg)
+        assert (fwd.kind, fwd.origin, fwd.target, fwd.ttl) == (msg.kind, 0, 9, 3)
+        assert forward_discovery(table, msg) is None  # this flood was seen
+
+    def test_origin_does_not_forward_its_own_flood(self):
+        table = init_routing(0, {1})
+        assert forward_discovery(table, trigger_discovery(table, 9)) is None
+
+    def test_expired_ttl_stops_the_flood(self):
+        table = init_routing(5, set())
+        msg = ControlMessage(MessageKind.DISCOVERY_REQUEST, origin=0, target=9, ttl=1)
+        assert forward_discovery(table, msg) is None
+        assert table.discovery_seen == set()
+
+    def test_target_stops_the_flood(self):
+        table = init_routing(9, set())
+        msg = ControlMessage(MessageKind.DISCOVERY_REQUEST, origin=0, target=9, ttl=INF)
+        assert forward_discovery(table, msg) is None
 
     def test_cold_sender_learns_far_end_from_answers(self):
         # Path 0-1-2-3-4 with warm tables everywhere except the sender.
         adjacency = {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2, 4}, 4: {3}}
         tables, _ = converge(adjacency)
         tables[0] = init_routing(0, set())  # cold: not even neighbours
-        seen = {n: set() for n in adjacency}
 
-        frontier = trigger_discovery(0, 4, adjacency[0])
-        inbox = [(0, to, msg) for to, msg in frontier]
+        request = trigger_discovery(tables[0], 4)
+        inbox = [(0, to, request) for to in sorted(adjacency[0])]
         while inbox:
             sender, node, msg = inbox.pop(0)
             # Every receiver answers with a full advertisement to the asker.
             process_advertisement(tables[sender], node, make_advertisement(tables[node], sender))
-            key = (msg.origin, msg.target)
-            if key in seen[node] or msg.ttl <= 1 or node == msg.target:
-                continue
-            seen[node].add(key)
-            fwd = ControlMessage(
-                MessageKind.DISCOVERY_REQUEST,
-                origin=msg.origin,
-                target=msg.target,
-                ttl=msg.ttl - 1,
-            )
-            inbox.extend((node, m, fwd) for m in sorted(adjacency[node]) if m != sender)
+            fwd = forward_discovery(tables[node], msg)
+            if fwd is not None:
+                inbox.extend((node, m, fwd) for m in sorted(adjacency[node]) if m != sender)
 
         assert tables[0].cost_to(4) == bfs_distances(adjacency, 0)[4] == 4
 

@@ -177,7 +177,7 @@ class TestFailureModes:
         relay = engine.runtimes[1]
         relay.table.entries[2].cost = engine.inf
         relay.table.entries[2].next_hop = None
-        relay.adv_cache.clear()
+        relay.table.heard.clear()
         engine._send_message(0, 2, 30)
         engine.run(until=140_000)
         assert engine.metrics.packet_drops.get("forward-failure", 0) >= 1
@@ -189,8 +189,8 @@ class TestFailureModes:
         # Force a two-node forwarding loop toward a phantom destination.
         for n, via in ((0, 1), (1, 0)):
             rt = engine.runtimes[n]
-            rt.table.entries[9] = RouteEntry(9, via, 2)
-            rt.adv_cache.clear()
+            rt.table.entries[9] = RouteEntry(via, 2)
+            rt.table.heard.clear()
         engine.world[9] = engine.world[0].__class__(
             id=9,
             position=engine.world[0].position.__class__(1000.0, 1000.0),
