@@ -98,7 +98,7 @@ def _ftype(body: Body) -> str:
 
 @dataclass
 class NodeRuntime:
-    """Per-node radio, liveness and transport state; routing state lives in ``table``."""
+    """Per-node radio, liveness and reassembly state; routing state lives in ``table``."""
 
     table: routing.RoutingTable
     last_heard: dict[int, int] = field(default_factory=dict)
@@ -107,7 +107,6 @@ class NodeRuntime:
     queued_advs: set[int] = field(default_factory=set)
     queue_depth: dict[int, int] = field(default_factory=dict)
     reassembly: dict[int, dict[int, bytes]] = field(default_factory=dict)
-    pending: dict[int, transport.PendingTransfer] = field(default_factory=dict)
 
 
 def derive_seed(scenario_seed: int, label: str) -> int:
@@ -144,11 +143,9 @@ class Engine:
         self._msg_counter = 0
         self._started = False
         self._has_motion = any(spec.waypoints for spec in config.nodes)
-        # Engine-global message accounting so a reboot or a late packet can
-        # never double-count an outcome.
-        self._delivered_msgs: set[int] = set()
-        self._failed_msgs: set[int] = set()
-        self._sent_at: dict[int, int] = {}
+        # Every message's sender-side state, kept engine-wide so a reboot or a
+        # late packet can never lose or double-count an outcome.
+        self.transfers: dict[int, transport.PendingTransfer] = {}
         for spec in config.nodes:
             node = Node(
                 id=spec.id,
@@ -183,9 +180,10 @@ class Engine:
             self.queue.schedule(0, action.time_hus, EventKind.SCENARIO_ACTION, action)
         for spec in self.config.traffic:
             for k in range(spec.count):
-                self.queue.schedule(
-                    0, spec.time_hus + k * spec.interval_hus, EventKind.SCENARIO_ACTION, spec
-                )
+                t = spec.time_hus + k * spec.interval_hus
+                if t > self.horizon:
+                    break
+                self.queue.schedule(0, t, EventKind.SCENARIO_ACTION, spec)
 
     def run(self, until: int | None = None):
         """Advance the run to ``until`` (default: the horizon). Resumable."""
@@ -426,7 +424,11 @@ class Engine:
             self._apply_state(spec.node, spec.state)
 
     def _withdraw(self, n: int) -> None:
-        """Voluntary departure: farewell to the neighbours, then power off."""
+        """Voluntary departure: farewell to the neighbours, then power off.
+
+        The node is gone at once, so farewells skip the transmit queue and slot
+        discipline: traced as ``ctrl_sent`` with no ``channel``, they arrive a slot later.
+        """
         neighbors = self.links(n)
         self._emit("withdraw_action", n, {"neighbors": list(neighbors)})
         msg = routing.ControlMessage(routing.MessageKind.WITHDRAW, origin=n)
@@ -478,89 +480,76 @@ class Engine:
                 "plaintext": plaintext.hex(),
             },
         )
-        self._sent_at[msg_id] = self.now
-        pending = transport.PendingTransfer(
+        transfer = self.transfers[msg_id] = transport.PendingTransfer(
             msg_id=msg_id,
             src=src,
             dst=dst,
             fragments=list(enumerate(pieces)),
             retries_left=self.retries,
+            sent_at=self.now,
         )
-        self.runtimes[src].pending[msg_id] = pending
-        if not self._send_over_first_hop(pending):
+        if not self._send_over_first_hop(transfer):
             self._trigger_discovery(src, dst)
-        self._arm_ack_timer(pending)
+        self._arm_ack_timer(transfer)
 
-    def _send_over_first_hop(self, pending: transport.PendingTransfer) -> bool:
+    def _send_over_first_hop(self, transfer: transport.PendingTransfer) -> bool:
         """Queue every fragment over a first hop, preferring an untried one.
 
         Returns False when the source knows no route at all.
         """
         first = transport.choose_first_hop(
-            self._route_candidates(pending.src, pending.dst), pending.routes_tried
+            self._route_candidates(transfer.src, transfer.dst), transfer.routes_tried
         )
         if first is None:
             return False
-        pending.routes_tried.add(first)
-        for index, piece in pending.fragments:
+        transfer.routes_tried.add(first)
+        for index, piece in transfer.fragments:
             pkt = transport.DataPacket(
-                msg_id=pending.msg_id,
-                src=pending.src,
-                dst=pending.dst,
+                msg_id=transfer.msg_id,
+                src=transfer.src,
+                dst=transfer.dst,
                 fragment_index=index,
-                fragment_count=len(pending.fragments),
+                fragment_count=len(transfer.fragments),
                 sealed_payload=piece,
                 slot_class=baseband.slots_for_payload(len(piece) * 8, self.bits_per_slot),
             )
-            self._enqueue_frame(Frame(pending.src, first, pkt))
+            self._enqueue_frame(Frame(transfer.src, first, pkt))
         return True
 
-    def _arm_ack_timer(self, pending: transport.PendingTransfer) -> None:
-        pending.deadline = self.now + self.t_ack
+    def _arm_ack_timer(self, transfer: transport.PendingTransfer) -> None:
+        transfer.deadline = self.now + self.t_ack
         self.queue.schedule(
-            self.now,
-            pending.deadline,
-            EventKind.ACK_TIMER,
-            pending.src,
-            pending.msg_id,
-            pending.deadline,
+            self.now, transfer.deadline, EventKind.ACK_TIMER, transfer, transfer.deadline
         )
 
-    def _on_ack_timer(self, src: int, msg_id: int, deadline: int) -> None:
-        rt = self.runtimes.get(src)
-        if rt is None:
-            return
-        pending = rt.pending.get(msg_id)
-        if pending is None or pending.deadline != deadline:
-            return  # acked or re-armed since this timer was set
+    def _on_ack_timer(self, transfer: transport.PendingTransfer, deadline: int) -> None:
+        """Retry or resolve the transfer; the source's power state only gates resends."""
+        if transfer.deadline != deadline:
+            return  # resolved or re-armed since this timer was set
+        src, msg_id = transfer.src, transfer.msg_id
         self._emit(
-            "ack_timeout", src, {"msg_id": msg_id, "retries_left": pending.retries_left}
+            "ack_timeout", src, {"msg_id": msg_id, "retries_left": transfer.retries_left}
         )
-        if msg_id in self._delivered_msgs:
+        if transfer.delivered:
             # Delivered but the ack never made it back; the transfer is done.
-            del rt.pending[msg_id]
+            transfer.deadline = None
             return
-        if pending.retries_left <= 0:
-            del rt.pending[msg_id]
-            self._failed_msgs.add(msg_id)
-            cls = pending.last_drop_class or "retry-exhausted"
+        if transfer.retries_left <= 0:
+            transfer.deadline = None
+            transfer.failed = True
+            cls = transfer.last_drop_class or "retry-exhausted"
             self._emit(
                 "msg_failed",
                 src,
-                {"msg_id": msg_id, "class": cls, "retries": pending.retransmissions},
+                {"msg_id": msg_id, "class": cls, "retries": transfer.retransmissions},
             )
             return
-        pending.retries_left -= 1
-        pending.retransmissions += 1
+        transfer.retries_left -= 1
+        transfer.retransmissions += 1
         if self.world[src].state is NodeState.ACTIVE:
-            self._trigger_discovery(src, pending.dst)
-            self._send_over_first_hop(pending)
-        self._arm_ack_timer(pending)
-
-    def _pending_of(self, pkt: transport.DataPacket) -> transport.PendingTransfer | None:
-        """The source's retransmission state for ``pkt``'s message, if still held."""
-        rt = self.runtimes.get(pkt.src)
-        return rt.pending.get(pkt.msg_id) if rt else None
+            self._trigger_discovery(src, transfer.dst)
+            self._send_over_first_hop(transfer)
+        self._arm_ack_timer(transfer)
 
     # --------------------------------------------------------------- arrival
 
@@ -638,7 +627,7 @@ class Engine:
     def _on_ack(self, n: int, sender: int, ack: transport.Ack) -> None:
         if n == ack.dst:
             self._emit("ack_rx", n, {"msg_id": ack.msg_id, "from": sender})
-            self.runtimes[n].pending.pop(ack.msg_id, None)
+            self.transfers[ack.msg_id].deadline = None
             return
         ack.hops += 1
         if ack.hops > self.inf:
@@ -659,13 +648,13 @@ class Engine:
         is_data = isinstance(body, transport.DataPacket)
         fragment = body.fragment_index if is_data else -1
         self._emit("drop", n, {"msg_id": body.msg_id, "fragment": fragment, "class": cls})
-        pending = self._pending_of(body) if is_data else None
-        if pending is not None:
-            pending.last_drop_class = cls
+        if is_data:
+            self.transfers[body.msg_id].last_drop_class = cls
 
     def _deliver_fragment(self, n: int, pkt: transport.DataPacket) -> None:
         rt = self.runtimes[n]
-        if pkt.msg_id in self._delivered_msgs:
+        transfer = self.transfers[pkt.msg_id]
+        if transfer.delivered:
             self._send_ack(n, pkt)  # the earlier ack may have been lost
             return
         frags = rt.reassembly.setdefault(pkt.msg_id, {})
@@ -676,15 +665,13 @@ class Engine:
             return
         sealed = b"".join(frags[i] for i in range(pkt.fragment_count))
         plaintext = transport.open_payload_at(n, sealed, pkt.src, pkt.dst, self.seed)
-        self._delivered_msgs.add(pkt.msg_id)
+        transfer.delivered = True
         del rt.reassembly[pkt.msg_id]
-        if pkt.msg_id in self._failed_msgs:
+        if transfer.failed:
             # The sender already gave up on this message; keep the outcome
             # partition intact and only note the late arrival.
             self._emit("late_delivery", n, {"msg_id": pkt.msg_id})
             return
-        pending = self._pending_of(pkt)
-        retries = pending.retransmissions if pending else 0
         self._emit(
             "delivery",
             n,
@@ -693,8 +680,8 @@ class Engine:
                 "src": pkt.src,
                 "bytes": len(plaintext),
                 "hops": len(pkt.hop_trace) - 1,
-                "latency_us": _t_us(self.now - self._sent_at[pkt.msg_id]),
-                "retries": retries,
+                "latency_us": _t_us(self.now - transfer.sent_at),
+                "retries": transfer.retransmissions,
                 "plaintext": plaintext.hex(),
             },
         )

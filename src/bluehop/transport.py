@@ -100,15 +100,21 @@ class Ack:
 
 @dataclass
 class PendingTransfer:
+    """One message's sender-side state, from its send to the end of the run."""
+
     msg_id: int
     src: int
     dst: int
     fragments: list[tuple[int, bytes]]
     retries_left: int
-    deadline: int = 0  # set each time the ack timer is armed
+    sent_at: int = 0
+    # The armed ack timer's time; None once the transfer is resolved.
+    deadline: int | None = None
     routes_tried: set[int] = field(default_factory=set)
     retransmissions: int = 0
     last_drop_class: str | None = None
+    delivered: bool = False
+    failed: bool = False
 
 
 def choose_first_hop(

@@ -122,3 +122,31 @@ class TestExitCodes:
         with open(out / "deliveries.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert (rows[0]["outcome"], rows[0]["latency_us"]) == ("delivered", "1250")
+
+    def test_rebooted_source_still_resolves_its_message(self, tmp_path):
+        # The destination is out of range, so the message can only fail; the
+        # source power-cycles between its send and its first ack deadline.
+        scenario = tmp_path / "reboot_unreachable.json"
+        scenario.write_text(json.dumps({
+            "horizon": 3.0,
+            "nodes": [
+                {"id": 0, "x": 0, "y": 0, "class": 3},
+                {"id": 1, "x": 8, "y": 0, "class": 3},
+                {"id": 2, "x": 30, "y": 0, "class": 3},
+            ],
+            "traffic": [{"time": 0.1, "src": 0, "dst": 2, "payload_bytes": 20}],
+            "actions": [
+                {"time": 0.15, "node": 0, "action": "set_state", "state": "off"},
+                {"time": 0.16, "node": 0, "action": "set_state", "state": "active"},
+            ],
+        }))
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["pending"] == 0
+        assert report["failed"] == {"retry-exhausted": 1}
+        trace = [json.loads(line) for line in (out / "trace.ndjson").read_text().splitlines()]
+        assert sum(r["kind"] == "ack_timeout" for r in trace) == 4
+        with open(out / "deliveries.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["retries"] == "3"

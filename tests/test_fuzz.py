@@ -1,0 +1,69 @@
+"""Run-level invariants over bounded random scenarios with power cycling."""
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from bluehop.metrics import deliveries_from_trace, replay
+from bluehop.scenario import validate_scenario
+from bluehop.simkernel import run_scenario
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(2, 10))
+    horizon_ms = draw(st.integers(200, 2000))
+    ms = lambda lo=0, hi=horizon_ms: draw(st.integers(lo, hi)) / 1000
+    nodes = [
+        {"id": i, "x": draw(st.integers(0, 30)), "y": draw(st.integers(0, 30)), "class": 3}
+        for i in range(n)
+    ]
+    traffic = []
+    for _ in range(draw(st.integers(1, 4))):
+        src, dst = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        traffic.append({
+            "time": ms(),
+            "src": src,
+            "dst": dst,
+            "payload_bytes": draw(st.integers(0, 400)),
+            "count": draw(st.integers(1, 3)),
+            "interval": ms(10, 300),
+        })
+    # Power cycles: the first always hits a traffic source, mid-run.
+    sources = sorted({t["src"] for t in traffic})
+    actions = []
+    for k in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(sources if k == 0 else range(n)))
+        off = draw(st.integers(0, horizon_ms))
+        on = draw(st.integers(off, horizon_ms))
+        actions += [
+            {"time": off / 1000, "node": node, "action": "set_state", "state": "off"},
+            {"time": on / 1000, "node": node, "action": "set_state", "state": "active"},
+        ]
+    return validate_scenario({
+        "link_mode": draw(st.sampled_from(["geometric", "scatternet"])),
+        "horizon": horizon_ms / 1000,
+        "nodes": nodes,
+        "traffic": traffic,
+        "actions": actions,
+    })
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenarios(), st.integers(0, 3))
+def test_bounded_random_runs_keep_their_invariants(config, seed):
+    m, trace = run_scenario(config, seed)
+    assert replay(trace) == m
+    rows = deliveries_from_trace(trace)
+    pending = {r["msg_id"] for r in rows if r["outcome"] == "pending"}
+    assert m.messages_sent == len(rows) == m.delivered + m.failed_total + len(pending)
+    _, again = run_scenario(config, seed)
+    assert json.dumps(again) == json.dumps(trace)
+    # A message still pending at the horizon has an armed ack timer: it was
+    # sent or timed out less than t_ack before the end.
+    last_armed = {
+        r["detail"]["msg_id"]: r["t_us"]
+        for r in trace
+        if r["kind"] in ("msg_send", "ack_timeout")
+    }
+    for msg_id in pending:
+        assert config.horizon_hus - 2 * last_armed[msg_id] < config.protocol.t_ack_hus

@@ -60,6 +60,26 @@ class TestKernelBasics:
         engine.run()
         assert all(r["kind"] != "motion" for r in engine.trace)
 
+    def test_traffic_past_the_horizon_is_never_queued(self):
+        config = validate_scenario(
+            {
+                "horizon": 1.0,
+                "nodes": [
+                    {"id": 0, "x": 0.0, "y": 0.0, "class": 3},
+                    {"id": 1, "x": 5.0, "y": 0.0, "class": 3},
+                ],
+                "traffic": [
+                    {"time": 0.1, "src": 0, "dst": 1, "payload_bytes": 20,
+                     "count": 100_000, "interval": 10}
+                ],
+            }
+        )
+        engine = Engine(config, 0)
+        engine.run(until=0)
+        assert len(engine.queue) < 10
+        m, _ = engine.run()
+        assert m.messages_sent == 1
+
     def test_identical_runs_are_byte_identical(self):
         config = parse_scenario(scenario_path("diamond_failover.json"))
         _, t1 = run_scenario(config, 3)

@@ -135,3 +135,4 @@ class TestTypes:
         pt = PendingTransfer(1, 0, 9, [(0, b"p")], retries_left=3)
         assert pt.routes_tried == set()
         assert (pt.retransmissions, pt.last_drop_class) == (0, None)
+        assert (pt.deadline, pt.delivered, pt.failed) == (None, False, False)
