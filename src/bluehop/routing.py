@@ -41,6 +41,13 @@ class RouteEntry:
 
 @dataclass
 class RoutingTable:
+    """One node's routes and what its neighbours last told it.
+
+    ``entries`` and ``heard`` change only through this module's functions:
+    ``version``, ``raised`` and ``relaxed_at`` count those changes, and the
+    cached advertisements and repeat relaxations rely on the counts.
+    """
+
     owner: int
     inf: int = INF
     entries: dict[int, RouteEntry] = field(default_factory=dict)
@@ -48,6 +55,14 @@ class RoutingTable:
     heard: dict[int, dict[int, int]] = field(default_factory=dict)
     # (origin, target) of every discovery flood this node has joined.
     discovery_seen: set[tuple[int, int]] = field(default_factory=set)
+    # Bumped on every change to ``entries``; keys ``adverts``.
+    version: int = 0
+    # Bumped whenever an entry's cost rises or an entry is deleted.
+    raised: int = 0
+    # ``raised`` as it stood when each neighbour's vector was last relaxed.
+    relaxed_at: dict[int, int] = field(default_factory=dict)
+    # Per receiver, the last advertisement built and the version it shows.
+    adverts: dict[int, tuple[int, ControlMessage]] = field(default_factory=dict)
 
     def cost_to(self, dest: int) -> int:
         e = self.entries.get(dest)
@@ -70,13 +85,23 @@ def make_advertisement(table: RoutingTable, to_neighbor: int) -> ControlMessage:
 
     Entries whose next hop is the receiving neighbour are advertised as
     unreachable so the neighbour never routes back through the sender.
+    The message is built once per table version and receiver; while the
+    table is unchanged the same frozen message is returned.
     """
-    entries = []
-    for dest in sorted(table.entries):
-        e = table.entries[dest]
-        cost = table.inf if (e.next_hop == to_neighbor and dest != table.owner) else e.cost
-        entries.append((dest, min(cost, table.inf)))
-    return ControlMessage(MessageKind.ADVERTISEMENT, origin=table.owner, entries=tuple(entries))
+    cached = table.adverts.get(to_neighbor)
+    if cached is not None and cached[0] == table.version:
+        return cached[1]
+    owner, inf = table.owner, table.inf
+    msg = ControlMessage(
+        MessageKind.ADVERTISEMENT,
+        origin=owner,
+        entries=tuple(
+            (dest, inf if (e.next_hop == to_neighbor and dest != owner) or e.cost > inf else e.cost)
+            for dest, e in sorted(table.entries.items())
+        ),
+    )
+    table.adverts[to_neighbor] = (table.version, msg)
+    return msg
 
 
 def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) -> bool:
@@ -89,44 +114,64 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
     The capped vector is kept as ``table.heard[from_]`` for next_hops.
     Returns True when any entry's (next hop, cost) changed, which obliges the
     caller to queue triggered advertisements.
+
+    A repeat vector from X costs only what changed in it. After X's vector
+    ``v`` is relaxed, every cost(d) <= min(v[d]+1, INF), every entry whose
+    next hop is X equals that candidate, and no entry via X names a
+    destination outside ``v``. Until some cost rises or an entry is deleted
+    (``table.raised`` moves), other vectors can only lower costs or move
+    entries away from X, so all three still hold when X speaks again: an
+    unchanged (d, v[d]) pair can change nothing, and only the changed pairs
+    and the vanished destinations need relaxing. Once ``raised`` has moved,
+    the whole vector is relaxed again.
     """
     if adv.kind is not MessageKind.ADVERTISEMENT:
         raise ValueError(f"not an advertisement: {adv.kind}")
-    inf = table.inf
-    advertised = {d: min(c, inf) for d, c in adv.entries}
+    owner, inf, entries = table.owner, table.inf, table.entries
+    advertised = {d: c if c < inf else inf for d, c in adv.entries}
+    prev = table.heard.get(from_)
     table.heard[from_] = advertised
-    changed = False
-    for dest, cost in advertised.items():
-        if dest == table.owner:
+    if prev is not None and table.relaxed_at.get(from_) == table.raised:
+        if advertised == prev:
+            return False
+        offers = sorted(advertised.items() - prev.items())
+        vanished = prev.keys() - advertised.keys()
+    else:
+        offers = advertised.items()
+        vanished = entries.keys() - advertised.keys()
+    changed = rose = False
+    for dest, cost in offers:
+        if dest == owner:
             continue  # the self-entry is permanent
-        candidate = min(cost + 1, inf)
-        entry = table.entries.get(dest)
+        candidate = cost + 1 if cost < inf else inf
+        entry = entries.get(dest)
         if entry is None:
             if candidate < inf:
-                table.entries[dest] = RouteEntry(from_, candidate)
+                entries[dest] = RouteEntry(from_, candidate)
                 changed = True
         elif candidate < entry.cost:
             entry.next_hop = from_
             entry.cost = candidate
             changed = True
         elif entry.next_hop == from_ and candidate != entry.cost:
-            entry.cost = candidate
+            entry.cost = candidate  # a rise: lower candidates took the branch above
             if candidate >= inf:
                 entry.next_hop = None
-            changed = True
+            rose = True
     # Destinations we route via the advertiser but which it no longer knows
     # are gone from its vector entirely; poison them.
-    for dest, entry in table.entries.items():
-        if (
-            dest != table.owner
-            and entry.next_hop == from_
-            and dest not in advertised
-            and entry.cost < inf
-        ):
+    for dest in vanished:
+        entry = entries.get(dest)
+        if entry is not None and entry.next_hop == from_ and dest != owner and entry.cost < inf:
             entry.cost = inf
             entry.next_hop = None
-            changed = True
-    return changed
+            rose = True
+    if rose:
+        table.raised += 1
+    if changed or rose:
+        table.version += 1
+    table.relaxed_at[from_] = table.raised
+    return changed or rose
 
 
 def handle_withdraw(table: RoutingTable, leaving: int) -> bool:
@@ -137,6 +182,7 @@ def handle_withdraw(table: RoutingTable, leaving: int) -> bool:
     entries propagate the news.
     """
     table.heard.pop(leaving, None)
+    table.relaxed_at.pop(leaving, None)
     changed = False
     if leaving in table.entries and leaving != table.owner:
         del table.entries[leaving]
@@ -146,6 +192,9 @@ def handle_withdraw(table: RoutingTable, leaving: int) -> bool:
             entry.cost = table.inf
             entry.next_hop = None
             changed = True
+    if changed:
+        table.raised += 1
+        table.version += 1
     return changed
 
 

@@ -31,7 +31,8 @@ def _keystream(seed: int, src: int, dst: int, length: int) -> bytes:
 def seal_payload(plaintext: bytes, src: int, dst: int, scenario_seed: int) -> bytes:
     """XOR the plaintext with the (seed, src, dst) keystream; length preserved."""
     ks = _keystream(scenario_seed, src, dst, len(plaintext))
-    return bytes(p ^ k for p, k in zip(plaintext, ks))
+    x = int.from_bytes(plaintext, "big") ^ int.from_bytes(ks, "big")
+    return x.to_bytes(len(plaintext), "big")
 
 
 def open_payload(sealed: bytes, src: int, dst: int, scenario_seed: int) -> bytes:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bluehop.routing import (
     INF,
@@ -88,6 +89,32 @@ class TestMakeAdvertisement:
         table.entries[2] = RouteEntry(3, 2)  # dest 2 via 3
         assert adv_of(table, 1)[2] == 2
 
+    def test_same_message_while_table_unchanged(self):
+        table = init_routing(0, {1, 2})
+        msg = make_advertisement(table, 1)
+        assert make_advertisement(table, 1) is msg
+        assert make_advertisement(table, 2) is not msg  # one per receiver
+        quiet = ControlMessage(MessageKind.ADVERTISEMENT, origin=2, entries=((0, 1), (2, 0)))
+        assert process_advertisement(table, 2, quiet) is False
+        assert make_advertisement(table, 1) is msg
+
+    def test_cache_invalidated_by_process_advertisement(self):
+        table = init_routing(0, {1, 2})
+        before = make_advertisement(table, 1)
+        news = ControlMessage(MessageKind.ADVERTISEMENT, origin=2, entries=((2, 0), (5, 1)))
+        assert process_advertisement(table, 2, news) is True
+        after = make_advertisement(table, 1)
+        assert after is not before
+        assert dict(after.entries)[5] == 2
+
+    def test_cache_invalidated_by_withdraw(self):
+        table = init_routing(0, {1, 2})
+        before = make_advertisement(table, 1)
+        assert handle_withdraw(table, 2) is True
+        after = make_advertisement(table, 1)
+        assert after is not before
+        assert dict(after.entries) == {0: 0, 1: INF}
+
 
 class TestProcessAdvertisement:
     def test_line_learns_two_hop_route(self):
@@ -129,6 +156,19 @@ class TestProcessAdvertisement:
         silent = ControlMessage(MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0),))
         assert process_advertisement(tables[0], 1, silent) is True
         assert tables[0].cost_to(2) == INF
+
+    def test_unchanged_repeat_relaxes_after_a_rise(self):
+        # 0 routes to 3 via 1 at cost 3; 2 offers the same cost and loses the
+        # tie. When 1's cost rises, 2's unchanged repeat must win 3 back.
+        table = init_routing(0, {1, 2})
+        via_1 = lambda c: ControlMessage(MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0), (3, c)))
+        via_2 = ControlMessage(MessageKind.ADVERTISEMENT, origin=2, entries=((2, 0), (3, 2)))
+        assert process_advertisement(table, 1, via_1(2)) is True
+        assert process_advertisement(table, 2, via_2) is False
+        assert process_advertisement(table, 1, via_1(5)) is True
+        assert (table.entries[3].next_hop, table.cost_to(3)) == (1, 6)
+        assert process_advertisement(table, 2, via_2) is True
+        assert (table.entries[3].next_hop, table.cost_to(3)) == (2, 3)
 
     def test_self_entry_is_permanent(self):
         table = init_routing(0, {1})
@@ -330,3 +370,109 @@ class TestConvergence:
         for table in tables.values():
             assert all(e.cost <= INF for e in table.entries.values())
             assert table.entries[table.owner].cost == 0
+
+
+# Reference model: the full relaxation with no cache and no repeat shortcut,
+# over plain {dest: (next_hop, cost)} dicts. The property below checks the
+# module against it step by step.
+
+
+def ref_init(owner, neighbors):
+    table = {owner: (owner, 0)}
+    table.update((m, (m, 1)) for m in neighbors if m != owner)
+    return table
+
+
+def ref_advertisement(table, owner, inf, to):
+    return tuple(
+        (d, min(inf if (nh == to and d != owner) else cost, inf))
+        for d, (nh, cost) in sorted(table.items())
+    )
+
+
+def ref_process(table, owner, inf, from_, entries):
+    advertised = {d: min(c, inf) for d, c in entries}
+    changed = False
+    for dest, cost in advertised.items():
+        if dest == owner:
+            continue
+        candidate = min(cost + 1, inf)
+        entry = table.get(dest)
+        if entry is None:
+            if candidate < inf:
+                table[dest] = (from_, candidate)
+                changed = True
+        elif candidate < entry[1]:
+            table[dest] = (from_, candidate)
+            changed = True
+        elif entry[0] == from_ and candidate != entry[1]:
+            table[dest] = (None if candidate >= inf else from_, candidate)
+            changed = True
+    for dest, (nh, cost) in list(table.items()):
+        if dest != owner and nh == from_ and dest not in advertised and cost < inf:
+            table[dest] = (None, inf)
+            changed = True
+    return changed
+
+
+def ref_withdraw(table, owner, inf, leaving):
+    changed = False
+    if leaving in table and leaving != owner:
+        del table[leaving]
+        changed = True
+    for dest, (nh, _) in list(table.items()):
+        if nh == leaving and dest != owner:
+            table[dest] = (None, inf)
+            changed = True
+    return changed
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_incremental_relaxation_matches_full_pass(data):
+    """Real, repeated, hand-made, raised and truncated vectors plus withdraws."""
+    n = data.draw(st.integers(2, 6), label="nodes")
+    inf = data.draw(st.sampled_from([INF, 4]), label="inf")
+    edges = data.draw(
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])),
+        label="edges",
+    )
+    adjacency = {i: set() for i in range(n)}
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    pairs = sorted((a, b) for a in adjacency for b in adjacency[a])
+    pairs = pairs or [(a, b) for a in range(n) for b in range(n) if a != b]
+    tables = {i: init_routing(i, adjacency[i], inf) for i in range(n)}
+    refs = {i: ref_init(i, adjacency[i]) for i in range(n)}
+    last = {}  # (sender, receiver) -> entries of the last vector sent
+    costs = st.integers(0, inf + 2)
+
+    for _ in range(data.draw(st.integers(1, 40), label="steps")):
+        step = data.draw(st.sampled_from(["real", "repeat", "made", "raise", "withdraw"]))
+        a, b = data.draw(st.sampled_from(pairs))
+        if step == "withdraw":
+            assert handle_withdraw(tables[b], a) == ref_withdraw(refs[b], b, inf, a)
+        else:
+            entries = last.get((a, b))
+            if step == "made":
+                made = data.draw(st.dictionaries(st.integers(0, n), costs, max_size=n + 1))
+                entries = tuple(sorted(made.items()))
+            elif step == "raise" and entries is not None:
+                entries = tuple(
+                    (d, c + data.draw(st.integers(0, 3)))
+                    for d, c in entries
+                    if data.draw(st.booleans())
+                )
+            elif step == "real" or entries is None:
+                entries = make_advertisement(tables[a], b).entries
+                assert entries == ref_advertisement(refs[a], a, inf, b)
+            adv = ControlMessage(MessageKind.ADVERTISEMENT, origin=a, entries=entries)
+            want = ref_process(refs[b], b, inf, a, entries)
+            assert process_advertisement(tables[b], a, adv) == want
+            last[(a, b)] = entries
+        got = {d: (e.next_hop, e.cost) for d, e in tables[b].entries.items()}
+        assert got == refs[b]
+        for m in range(n):
+            if m != b:
+                assert make_advertisement(tables[b], m).entries == ref_advertisement(refs[b], b, inf, m)

@@ -198,6 +198,7 @@ class TestFailureModes:
         relay.table.entries[2].cost = engine.inf
         relay.table.entries[2].next_hop = None
         relay.table.heard.clear()
+        relay.table.version += 1  # so the relay advertises the poisoned state
         engine._send_message(0, 2, 30)
         engine.run(until=140_000)
         assert engine.metrics.packet_drops.get("forward-failure", 0) >= 1
@@ -211,6 +212,7 @@ class TestFailureModes:
             rt = engine.runtimes[n]
             rt.table.entries[9] = RouteEntry(via, 2)
             rt.table.heard.clear()
+            rt.table.version += 1  # so the phantom route is advertised
         engine.world[9] = engine.world[0].__class__(
             id=9,
             position=engine.world[0].position.__class__(1000.0, 1000.0),
