@@ -146,6 +146,113 @@ class TestRejects:
         assert any("[0, 254]" in m for m in errors_of(data))
 
 
+# One scenario with errors in every section, and the exact diagnostics it
+# yields, in order. Any change to the validator's walk must keep them.
+EVERY_SECTION = {
+    "horizon": 0,
+    "mystery": True,
+    "link_mode": "mesh",
+    "rate_multiplier": 0,
+    "protocol": {"t_adv": 0, "t_ack": -1, "retries": 1.5, "inf": 1, "jitter": 2},
+    "nodes": [
+        7,
+        {"id": 0, "x": "far", "y": math.nan, "class": 4, "range": 3.0, "state": "asleep",
+         "waypoints": [[1.0, 0.0, 0.0], [0.5, 1.0, 1.0], [-1, 0, 0], "x"], "colour": "blue"},
+        {"id": 0, "x": 0.0, "y": 0.0, "class": 3, "range": 50.0},
+        {"id": 300, "x": 0.0, "y": 0.0, "class": 1, "waypoints": {}},
+        {"id": 1, "x": 0, "y": 0, "class": 2, "range": "wide"},
+    ],
+    "traffic": [
+        "burst",
+        {"time": 2.0, "src": 0, "dst": 0, "payload_bytes": -1, "count": 0,
+         "interval": -0.1, "qos": 1},
+        {"time": "soon", "src": "a", "dst": 9, "payload_bytes": 10},
+    ],
+    "actions": [
+        None,
+        {"time": -0.1, "node": 9, "action": "explode", "why": "x"},
+        {"time": 0.1, "node": 0, "action": "set_state", "state": "asleep"},
+        {"time": 0.1, "node": 0, "action": "withdraw", "state": "off"},
+    ],
+}
+_POSITIVE = "expected a positive number of seconds, 0.5 us or more once rounded"
+EVERY_SECTION_ERRORS = [
+    "mystery: unknown field",
+    f"horizon: {_POSITIVE}",
+    "link_mode: expected 'geometric' or 'scatternet', got 'mesh'",
+    "rate_multiplier: expected a positive integer",
+    "protocol.jitter: unknown field",
+    f"protocol.t_adv: {_POSITIVE}",
+    f"protocol.t_ack: {_POSITIVE}",
+    "protocol.retries: expected a non-negative integer",
+    "protocol.inf: expected an integer cost cap >= 2",
+    "nodes[0]: expected an object",
+    "nodes[1].colour: unknown field",
+    "nodes[1].x: expected a finite number (metres)",
+    "nodes[1].y: expected a finite number (metres)",
+    "nodes[1].class: expected device class 1, 2 or 3",
+    "nodes[1].state: unknown state 'asleep'",
+    "nodes[1].waypoints[1]: waypoint times must be strictly increasing, 0.5 us apart or more",
+    "nodes[1].waypoints[2]: waypoint time must be non-negative",
+    "nodes[1].waypoints[3]: expected [time_s, x, y]",
+    "nodes[2].id: duplicate node id 0",
+    "nodes[2].range: class 3 range must lie in [5.0, 10.0] m",
+    "nodes[3].id: expected an integer in [0, 254]",
+    "nodes[3].waypoints: expected a list of [time, x, y]",
+    "nodes[4].range: expected a finite number (metres)",
+    "traffic[0]: expected an object",
+    "traffic[1].qos: unknown field",
+    "traffic[1].dst: src and dst must differ",
+    "traffic[1].payload_bytes: expected a non-negative integer byte count",
+    "traffic[1].count: expected a positive integer",
+    "traffic[1].interval: expected a non-negative number of seconds",
+    "traffic[2].time: expected a non-negative number of seconds",
+    "traffic[2].src: expected an integer node id for src",
+    "traffic[2].dst: dst references nonexistent node id 9",
+    "actions[0]: expected an object",
+    "actions[1].why: unknown field",
+    "actions[1].time: expected a non-negative number of seconds",
+    "actions[1].node: node references nonexistent node id 9",
+    "actions[1].action: expected 'set_state' or 'withdraw'",
+    "actions[2].state: unknown state 'asleep'",
+    "actions[3].state: withdraw takes no state",
+]
+LISTS_AND_LIMITS = {
+    "zeta": 0,
+    "horizon": 1.0,
+    "alpha": 0,
+    "protocol": [],
+    "nodes": [{"id": i % 255, "x": float(i), "y": 0.0, "class": 3} for i in range(256)],
+    "traffic": [{"time": 1.5, "src": 0, "dst": 1, "payload_bytes": 1}],
+    "actions": "later",
+}
+LISTS_AND_LIMITS_ERRORS = [
+    "alpha: unknown field",
+    "zeta: unknown field",
+    "protocol: expected an object",
+    "nodes: 256 nodes exceeds the 255-node limit",
+    "nodes[255].id: duplicate node id 0",
+    "traffic[0].time: time 1.5 s lies beyond the horizon",
+    "actions: expected a list",
+]
+
+
+class TestExactDiagnostics:
+    def test_every_section(self):
+        assert errors_of(EVERY_SECTION) == EVERY_SECTION_ERRORS
+
+    def test_lists_and_limits(self):
+        assert errors_of(LISTS_AND_LIMITS) == LISTS_AND_LIMITS_ERRORS
+
+    def test_missing_sections(self):
+        assert errors_of({}) == ["horizon: required field missing", "nodes: required list missing"]
+        assert errors_of({"horizon": 1.0, "nodes": {}, "traffic": {}, "actions": {}}) == [
+            "nodes: required list missing",
+            "traffic: expected a list",
+            "actions: expected a list",
+        ]
+
+
 def with_node(field, value):
     data = minimal()
     data["nodes"][0][field] = value
