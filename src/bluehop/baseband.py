@@ -88,15 +88,8 @@ def hop_channel(seq: HopSequence, slot_index: int) -> int:
     return z % seq.channel_count
 
 
-def next_tx_start_hus(now_hus: int, parity: int | None) -> int:
-    """Earliest transmission start at or after ``now_hus``.
-
-    ``parity`` 0/1 selects the next even/odd slot boundary; None means the
-    link carries no slot discipline (geometric mode) and transmission starts
-    immediately.
-    """
-    if parity is None:
-        return now_hus
+def next_tx_start_hus(now_hus: int, parity: int) -> int:
+    """Earliest start at or after ``now_hus`` on an even (0) or odd (1) slot boundary."""
     slot = now_hus // SLOT_HUS
     if now_hus % SLOT_HUS:
         slot += 1

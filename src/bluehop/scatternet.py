@@ -10,13 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .topology import MAX_NODES, Node, in_range
+from .topology import Node, in_range
 
 MAX_ACTIVE_SLAVES = 7
-
-
-class CapacityError(ValueError):
-    pass
 
 
 class Role(Enum):
@@ -79,8 +75,6 @@ def form_scatternet(adjacency: dict[int, set[int]]) -> Scatternet:
     role (becoming bridges) while the new piconet has capacity. The result
     depends only on the graph.
     """
-    if len(adjacency) > MAX_NODES:
-        raise CapacityError(f"{len(adjacency)} nodes exceeds the {MAX_NODES}-node cap")
     order = sorted(adjacency, key=lambda n: (-len(adjacency[n]), n))
     net = Scatternet()
     assigned: set[int] = set()

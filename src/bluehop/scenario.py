@@ -4,8 +4,8 @@ A scenario is a JSON object describing nodes (placement, class, state,
 waypoints), the link mode, protocol knobs, scripted traffic and state
 actions, and the simulation horizon. Validation is total: a file either
 yields a config or the complete list of diagnostics, never a partial run.
-Times in the file are seconds; internally everything becomes integer
-half-microseconds.
+Every default and limit is resolved here: a node's device class becomes a
+plain range in metres, and times in seconds become integer half-microseconds.
 """
 from __future__ import annotations
 
@@ -15,9 +15,17 @@ from dataclasses import dataclass, field
 
 from . import routing
 from .scatternet import LinkMode
-from .topology import CLASS_RANGE_BANDS, MAX_NODES, NODE_ID_MAX, NodeState
+from .topology import NodeState
 
 HUS_PER_SECOND = 2_000_000
+
+MAX_NODES = 255
+NODE_ID_MAX = 254
+
+# Range is the only radio property the run reads. Each device class has a
+# default range in metres, and a scenario may override it inside the band.
+CLASS_DEFAULT_RANGE = {1: 100.0, 2: 30.0, 3: 10.0}
+CLASS_RANGE_BANDS = {1: (40.0, 100.0), 2: (15.0, 30.0), 3: (5.0, 10.0)}
 
 _NODE_FIELDS = {"id", "x", "y", "class", "range", "state", "waypoints"}
 _TRAFFIC_FIELDS = {"time", "src", "dst", "payload_bytes", "count", "interval"}
@@ -59,8 +67,7 @@ class NodeSpec:
     id: int
     x: float
     y: float
-    class_id: int
-    range_m: float | None = None
+    range_m: float
     state: NodeState = NodeState.ACTIVE
     waypoints: tuple[tuple[int, float, float], ...] = ()
 
@@ -124,11 +131,27 @@ def validate_scenario(data) -> ScenarioConfig:
     def err(path: str, message: str) -> None:
         errors.append(f"{path}: {message}")
 
+    def unknown(prefix: str, raw: dict, fields: set[str]) -> None:
+        for key in sorted(set(raw) - fields):
+            err(f"{prefix}{key}", "unknown field")
+
+    def objects(key: str, items, fields: set[str], not_list: str = "expected a list"):
+        """Yield (path, object) for each entry of list ``key``, reporting the rest."""
+        if not isinstance(items, list):
+            err(key, not_list)
+            return
+        for i, raw in enumerate(items):
+            path = f"{key}[{i}]"
+            if not isinstance(raw, dict):
+                err(path, "expected an object")
+                continue
+            unknown(f"{path}.", raw, fields)
+            yield path, raw
+
     if not isinstance(data, dict):
         raise ScenarioError(["scenario: expected a JSON object"])
 
-    for key in sorted(set(data) - _TOP_FIELDS):
-        err(key, "unknown field")
+    unknown("", data, _TOP_FIELDS)
 
     horizon = data.get("horizon")
     horizon_hus = _hus(horizon)
@@ -154,8 +177,7 @@ def validate_scenario(data) -> ScenarioConfig:
     if not isinstance(proto_raw, dict):
         err("protocol", "expected an object")
     else:
-        for key in sorted(set(proto_raw) - _PROTOCOL_FIELDS):
-            err(f"protocol.{key}", "unknown field")
+        unknown("protocol.", proto_raw, _PROTOCOL_FIELDS)
         t_adv = proto_raw.get("t_adv", DEFAULT_T_ADV_S)
         t_ack = proto_raw.get("t_ack", DEFAULT_T_ACK_S)
         retries = proto_raw.get("retries", DEFAULT_RETRIES)
@@ -175,18 +197,9 @@ def validate_scenario(data) -> ScenarioConfig:
     nodes: list[NodeSpec] = []
     seen_ids: set[int] = set()
     nodes_raw = data.get("nodes")
-    if not isinstance(nodes_raw, list):
-        err("nodes", "required list missing")
-        nodes_raw = []
-    if len(nodes_raw) > MAX_NODES:
+    if isinstance(nodes_raw, list) and len(nodes_raw) > MAX_NODES:
         err("nodes", f"{len(nodes_raw)} nodes exceeds the {MAX_NODES}-node limit")
-    for i, raw in enumerate(nodes_raw):
-        path = f"nodes[{i}]"
-        if not isinstance(raw, dict):
-            err(path, "expected an object")
-            continue
-        for key in sorted(set(raw) - _NODE_FIELDS):
-            err(f"{path}.{key}", "unknown field")
+    for path, raw in objects("nodes", nodes_raw, _NODE_FIELDS, "required list missing"):
         nid = raw.get("id")
         if not _is_int(nid) or not (0 <= nid <= NODE_ID_MAX):
             err(f"{path}.id", f"expected an integer in [0, {NODE_ID_MAX}]")
@@ -204,14 +217,16 @@ def validate_scenario(data) -> ScenarioConfig:
         class_id = raw.get("class")
         if class_id not in (1, 2, 3):
             err(f"{path}.class", "expected device class 1, 2 or 3")
+            class_id = None
         range_m = raw.get("range")
-        if range_m is not None:
-            if not _is_num(range_m):
-                err(f"{path}.range", "expected a finite number (metres)")
-            elif class_id in (1, 2, 3):
-                lo, hi = CLASS_RANGE_BANDS[class_id]
-                if not (lo <= range_m <= hi):
-                    err(f"{path}.range", f"class {class_id} range must lie in [{lo}, {hi}] m")
+        if range_m is None:
+            range_m = CLASS_DEFAULT_RANGE.get(class_id)
+        elif not _is_num(range_m):
+            err(f"{path}.range", "expected a finite number (metres)")
+        elif class_id is not None:
+            lo, hi = CLASS_RANGE_BANDS[class_id]
+            if not (lo <= range_m <= hi):
+                err(f"{path}.range", f"class {class_id} range must lie in [{lo}, {hi}] m")
         state_raw = raw.get("state", "active")
         state = None
         try:
@@ -243,15 +258,7 @@ def validate_scenario(data) -> ScenarioConfig:
             waypoints.append((t_hus, float(wx), float(wy)))
         if nid is not None and not errors:
             nodes.append(
-                NodeSpec(
-                    id=nid,
-                    x=float(x),
-                    y=float(y),
-                    class_id=class_id,
-                    range_m=float(range_m) if range_m is not None else None,
-                    state=state,
-                    waypoints=tuple(waypoints),
-                )
+                NodeSpec(nid, float(x), float(y), float(range_m), state, tuple(waypoints))
             )
 
     def check_ref(path: str, nid, label: str) -> bool:
@@ -274,17 +281,7 @@ def validate_scenario(data) -> ScenarioConfig:
         return t_hus
 
     traffic: list[TrafficSpec] = []
-    traffic_raw = data.get("traffic", [])
-    if not isinstance(traffic_raw, list):
-        err("traffic", "expected a list")
-        traffic_raw = []
-    for i, raw in enumerate(traffic_raw):
-        path = f"traffic[{i}]"
-        if not isinstance(raw, dict):
-            err(path, "expected an object")
-            continue
-        for key in sorted(set(raw) - _TRAFFIC_FIELDS):
-            err(f"{path}.{key}", "unknown field")
+    for path, raw in objects("traffic", data.get("traffic", []), _TRAFFIC_FIELDS):
         t_hus = check_time(f"{path}.time", raw.get("time"))
         ok = check_ref(f"{path}.src", raw.get("src"), "src")
         ok &= check_ref(f"{path}.dst", raw.get("dst"), "dst")
@@ -309,17 +306,7 @@ def validate_scenario(data) -> ScenarioConfig:
             )
 
     actions: list[ActionSpec] = []
-    actions_raw = data.get("actions", [])
-    if not isinstance(actions_raw, list):
-        err("actions", "expected a list")
-        actions_raw = []
-    for i, raw in enumerate(actions_raw):
-        path = f"actions[{i}]"
-        if not isinstance(raw, dict):
-            err(path, "expected an object")
-            continue
-        for key in sorted(set(raw) - _ACTION_FIELDS):
-            err(f"{path}.{key}", "unknown field")
+    for path, raw in objects("actions", data.get("actions", []), _ACTION_FIELDS):
         t_hus = check_time(f"{path}.time", raw.get("time"))
         ok = check_ref(f"{path}.node", raw.get("node"), "node")
         kind = raw.get("action")

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import baseband, metrics, routing, scatternet, topology, transport
 from .scatternet import LinkMode, Scatternet
 from .scenario import ActionSpec, ScenarioConfig, TrafficSpec
-from .topology import Node, NodeState, Position, RadioClass
+from .topology import Node, NodeState, Position
 
 MOTION_CADENCE_HUS = 200_000  # 100 ms simulated
 NEIGHBOR_MISS_BUDGET = 3      # advertisement periods before a silent peer expires
@@ -147,14 +147,11 @@ class Engine:
         # late packet can never lose or double-count an outcome.
         self.transfers: dict[int, transport.PendingTransfer] = {}
         for spec in config.nodes:
-            node = Node(
-                id=spec.id,
-                position=Position(spec.x, spec.y),
-                radio=RadioClass.for_class(spec.class_id, spec.range_m),
-                state=spec.state,
-                waypoints=[(t, Position(x, y)) for t, x, y in spec.waypoints],
-            )
-            self.world[spec.id] = node
+            start = Position(spec.x, spec.y)
+            path = [(t, Position(x, y)) for t, x, y in spec.waypoints]
+            if path and path[0][0] != 0:
+                path.insert(0, (0, start))
+            self.world[spec.id] = Node(spec.id, start, spec.range_m, spec.state, path)
 
     # ------------------------------------------------------------------ setup
 
@@ -399,16 +396,15 @@ class Engine:
         self._rebuild_adjacency()
 
     def _on_adv_timer(self, n: int) -> None:
-        if self.world[n].state is not NodeState.ACTIVE or n not in self.runtimes:
+        if self.world[n].state is not NodeState.ACTIVE:
             return
         self._emit("adv_timer", n, {})
         self._broadcast_advs(n)
 
     def _on_neighbor_expiry(self, n: int, neighbor: int) -> None:
-        rt = self.runtimes.get(n)
-        if rt is None or self.world[n].state is not NodeState.ACTIVE:
+        if self.world[n].state is not NodeState.ACTIVE:
             return
-        heard = rt.last_heard.get(neighbor)
+        heard = self.runtimes[n].last_heard.get(neighbor)
         if heard is None or heard + NEIGHBOR_MISS_BUDGET * self.t_adv > self.now:
             return  # refreshed since this check was armed
         # A silent neighbour is treated exactly like a withdraw from it.
@@ -442,7 +438,7 @@ class Engine:
     def _apply_state(self, n: int, state: NodeState) -> None:
         node = self.world[n]
         was_active = node.state is NodeState.ACTIVE
-        topology.set_node_state(self.world, n, state)
+        node.state = state
         self._emit("state_change", n, {"state": state.value})
         self._maybe_reform()
         self._rebuild_adjacency()
@@ -484,8 +480,7 @@ class Engine:
             msg_id=msg_id,
             src=src,
             dst=dst,
-            fragments=list(enumerate(pieces)),
-            retries_left=self.retries,
+            fragments=pieces,
             sent_at=self.now,
         )
         if not self._send_over_first_hop(transfer):
@@ -503,7 +498,7 @@ class Engine:
         if first is None:
             return False
         transfer.routes_tried.add(first)
-        for index, piece in transfer.fragments:
+        for index, piece in enumerate(transfer.fragments):
             pkt = transport.DataPacket(
                 msg_id=transfer.msg_id,
                 src=transfer.src,
@@ -527,14 +522,13 @@ class Engine:
         if transfer.deadline != deadline:
             return  # resolved or re-armed since this timer was set
         src, msg_id = transfer.src, transfer.msg_id
-        self._emit(
-            "ack_timeout", src, {"msg_id": msg_id, "retries_left": transfer.retries_left}
-        )
+        retries_left = self.retries - transfer.retransmissions
+        self._emit("ack_timeout", src, {"msg_id": msg_id, "retries_left": retries_left})
         if transfer.delivered:
             # Delivered but the ack never made it back; the transfer is done.
             transfer.deadline = None
             return
-        if transfer.retries_left <= 0:
+        if retries_left <= 0:
             transfer.deadline = None
             transfer.failed = True
             cls = transfer.last_drop_class or "retry-exhausted"
@@ -544,7 +538,6 @@ class Engine:
                 {"msg_id": msg_id, "class": cls, "retries": transfer.retransmissions},
             )
             return
-        transfer.retries_left -= 1
         transfer.retransmissions += 1
         if self.world[src].state is NodeState.ACTIVE:
             self._trigger_discovery(src, transfer.dst)
@@ -556,7 +549,7 @@ class Engine:
     def _on_arrival(self, frame: Frame) -> None:
         self._try_service(frame.sender)
         n, sender, body = frame.to, frame.sender, frame.body
-        if self.world[n].state is not NodeState.ACTIVE or n not in self.runtimes:
+        if self.world[n].state is not NodeState.ACTIVE:
             self._emit(
                 "packet_lost",
                 n,

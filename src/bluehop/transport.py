@@ -106,8 +106,7 @@ class PendingTransfer:
     msg_id: int
     src: int
     dst: int
-    fragments: list[tuple[int, bytes]]
-    retries_left: int
+    fragments: list[bytes]
     sent_at: int = 0
     # The armed ack timer's time; None once the transfer is resolved.
     deadline: int | None = None

@@ -137,9 +137,6 @@ class TestNextTxStart:
         # Slave (odd) parity from slot 0 start waits one slot.
         assert next_tx_start_hus(0, 1) == SLOT_HUS
 
-    def test_geometric_mode_has_no_parity(self):
-        assert next_tx_start_hus(777, None) == 777
-
     def test_multislot_start_parity_example(self):
         # A 3-slot master packet starting at slot 4 occupies slots 4-6; the
         # slave's next opportunity is slot 7.

@@ -3,21 +3,20 @@ import random
 import pytest
 
 from bluehop.scatternet import (
-    CapacityError,
     LinkMode,
     Role,
     form_scatternet,
     link_allowed,
     scatternet_to_json,
 )
-from bluehop.topology import Node, NodeState, Position, RadioClass
+from bluehop.topology import Node, NodeState, Position
 
 from conftest import geometric_adjacency, random_positions
 
 
 def make_world(positions, state=NodeState.ACTIVE):
     return {
-        i: Node(i, Position(x, y), RadioClass.for_class(3), state)
+        i: Node(i, Position(x, y), 10.0, state)
         for i, (x, y) in positions.items()
     }
 
@@ -94,11 +93,6 @@ class TestFormation:
         a = scatternet_to_json(form_scatternet(adjacency))
         b = scatternet_to_json(form_scatternet(adjacency))
         assert a == b
-
-    def test_over_capacity_rejected(self):
-        adjacency = {i: set() for i in range(256)}
-        with pytest.raises(CapacityError):
-            form_scatternet(adjacency)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_invariants_on_random_graphs(self, seed):

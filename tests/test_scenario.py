@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bluehop.scenario import (
+    CLASS_DEFAULT_RANGE,
+    CLASS_RANGE_BANDS,
     ScenarioError,
     parse_scenario,
     sec_to_hus,
@@ -71,6 +73,22 @@ class TestAccepts:
         assert config.nodes[1].state is NodeState.PARKED
         assert config.traffic[0].count == 3
         assert config.actions[1].action == "withdraw"
+
+
+class TestClassRange:
+    def test_defaults(self):
+        nodes = [{"id": c, "x": 0.0, "y": 0.0, "class": c} for c in (1, 2, 3)]
+        config = validate_scenario({"horizon": 1.0, "nodes": nodes})
+        assert [n.range_m for n in config.nodes] == [100.0, 30.0, 10.0]
+
+    def test_override_within_band(self):
+        data = with_node("class", 2)
+        data["nodes"][0]["range"] = 20
+        assert validate_scenario(data).nodes[0].range_m == 20.0
+
+    def test_override_outside_band_rejected(self):
+        data = with_node("range", 50.0)
+        assert errors_of(data) == ["nodes[0].range: class 3 range must lie in [5.0, 10.0] m"]
 
 
 class TestRejects:
@@ -355,6 +373,44 @@ def test_validation_is_total(data):
     except ScenarioError:
         return
     Engine(config, 0)
+
+
+# Nodes valid apart from their range and waypoint times, so that many
+# examples are accepted and reach the engine's node model.
+TIMES = st.sampled_from([0.0, 1e-7, 2.4e-7, 2.6e-7, 5e-7, 1e-6, 0.5]) | st.floats(0, 2)
+COORDS = st.floats(-50, 50)
+RADIO_NODES = st.lists(
+    st.fixed_dictionaries(
+        {"x": COORDS, "y": COORDS, "class": st.sampled_from([1, 2, 3])},
+        optional={
+            "range": st.none() | st.floats(0, 150) | st.sampled_from([5.0, 10.0, 15.0, 40.0, 100.0]),
+            "waypoints": st.lists(st.tuples(TIMES, COORDS, COORDS).map(list), max_size=3),
+        },
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(RADIO_NODES)
+def test_accepted_nodes_keep_band_and_order(nodes):
+    # The node model checks nothing itself, so every accepted node must keep
+    # its class band, and its motion path must start at t=0 and move forward.
+    data = {"horizon": 1.0, "nodes": [{"id": i, **n} for i, n in enumerate(nodes)]}
+    try:
+        config = validate_scenario(data)
+    except ScenarioError:
+        return
+    engine = Engine(config, 0)
+    for raw in data["nodes"]:
+        node = engine.world[raw["id"]]
+        lo, hi = CLASS_RANGE_BANDS[raw["class"]]
+        assert lo <= node.range_m <= hi
+        if raw.get("range") is None:
+            assert node.range_m == CLASS_DEFAULT_RANGE[raw["class"]]
+        times = [t for t, _ in node.path]
+        assert times == sorted(set(times))
+        assert not times or times[0] == 0
 
 
 class TestParseFile:

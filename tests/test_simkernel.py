@@ -6,7 +6,7 @@ from bluehop import scenario_path
 from bluehop.routing import RouteEntry
 from bluehop.scenario import parse_scenario, validate_scenario
 from bluehop.simkernel import CausalityError, Engine, EventKind, EventQueue, run_scenario
-from bluehop.topology import NodeState
+from bluehop.topology import Node, NodeState, Position
 
 from conftest import geometric_scenario
 
@@ -213,11 +213,7 @@ class TestFailureModes:
             rt.table.entries[9] = RouteEntry(via, 2)
             rt.table.heard.clear()
             rt.table.version += 1  # so the phantom route is advertised
-        engine.world[9] = engine.world[0].__class__(
-            id=9,
-            position=engine.world[0].position.__class__(1000.0, 1000.0),
-            radio=engine.world[0].radio,
-        )
+        engine.world[9] = Node(9, Position(1000.0, 1000.0), engine.world[0].range_m)
         engine._send_message(0, 9, 10)
         engine.run(until=400_000)
         assert engine.metrics.packet_drops.get("ttl-drop", 0) >= 1

@@ -4,26 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bluehop.scatternet import LinkMode, link_allowed
-from bluehop.topology import (
-    Node,
-    NodeState,
-    Position,
-    RadioClass,
-    apply_motion,
-    in_range,
-    position_at,
-    set_node_state,
-)
+from bluehop.scenario import CLASS_DEFAULT_RANGE
+from bluehop.topology import Node, NodeState, Position, apply_motion, in_range, position_at
 
 
-def make_node(nid, x, y, class_id=3, state=NodeState.ACTIVE, waypoints=()):
-    return Node(
-        id=nid,
-        position=Position(x, y),
-        radio=RadioClass.for_class(class_id),
-        state=state,
-        waypoints=list(waypoints),
-    )
+def make_node(nid, x, y, class_id=3, state=NodeState.ACTIVE, path=()):
+    return Node(nid, Position(x, y), CLASS_DEFAULT_RANGE[class_id], state, list(path))
 
 
 def neighbor_set(n, world):
@@ -107,16 +93,17 @@ class TestMotion:
 
     def test_midpoint_of_linear_segment(self):
         # 0 s at x=0, 10 s at x=20, query at 5 s.
-        node = make_node(0, 0, 0, waypoints=[(20_000_000, Position(20, 0))])
+        node = make_node(0, 0, 0, path=[(0, Position(0, 0)), (20_000_000, Position(20, 0))])
         assert position_at(node, 10_000_000) == Position(10, 0)
 
     def test_clamps_after_last_waypoint(self):
-        node = make_node(0, 0, 0, waypoints=[(2_000_000, Position(6, 2))])
+        node = make_node(0, 0, 0, path=[(0, Position(0, 0)), (2_000_000, Position(6, 2))])
         assert position_at(node, 5_000_000) == Position(6, 2)
 
     def test_matches_scalar_interpolation_oracle(self):
-        waypoints = [(1_000_000, Position(10, -4)), (3_000_000, Position(-2, 8))]
-        node = make_node(0, 0, 0, waypoints=waypoints)
+        node = make_node(
+            0, 0, 0, path=[(0, Position(0, 0)), (1_000_000, Position(10, -4)), (3_000_000, Position(-2, 8))]
+        )
         path = [(0, (0.0, 0.0)), (1_000_000, (10.0, -4.0)), (3_000_000, (-2.0, 8.0))]
 
         def oracle(t):
@@ -135,7 +122,7 @@ class TestMotion:
     def test_apply_motion_is_deterministic(self):
         def build():
             return {
-                0: make_node(0, 0, 0, waypoints=[(1_000_000, Position(9, 9))]),
+                0: make_node(0, 0, 0, path=[(0, Position(0, 0)), (1_000_000, Position(9, 9))]),
                 1: make_node(1, 5, 5),
             }
 
@@ -145,33 +132,11 @@ class TestMotion:
         assert w1[0].position == w2[0].position
         assert w1[1].position == Position(5, 5)
 
-    def test_waypoints_must_increase(self):
-        with pytest.raises(ValueError):
-            make_node(0, 0, 0, waypoints=[(5, Position(1, 1)), (5, Position(2, 2))])
-
 
 class TestState:
     def test_set_state(self):
         world = {0: make_node(0, 0, 0), 1: make_node(1, 5, 0)}
-        set_node_state(world, 1, NodeState.OFF)
+        world[1].state = NodeState.OFF
         assert neighbor_set(0, world) == set()
-        set_node_state(world, 1, NodeState.ACTIVE)
+        world[1].state = NodeState.ACTIVE
         assert neighbor_set(0, world) == {1}
-
-    def test_unknown_node(self):
-        with pytest.raises(KeyError):
-            set_node_state({}, 3, NodeState.OFF)
-
-
-class TestRadioClass:
-    def test_defaults(self):
-        assert RadioClass.for_class(1).range_m == 100.0
-        assert RadioClass.for_class(2).range_m == 30.0
-        assert RadioClass.for_class(3).range_m == 10.0
-
-    def test_override_within_band(self):
-        assert RadioClass.for_class(2, 20.0).range_m == 20.0
-
-    def test_override_outside_band_rejected(self):
-        with pytest.raises(ValueError):
-            RadioClass.for_class(3, 50.0)

@@ -132,7 +132,7 @@ class TestTypes:
         assert (ack.src, ack.dst) == (9, 1)
 
     def test_pending_transfer_defaults(self):
-        pt = PendingTransfer(1, 0, 9, [(0, b"p")], retries_left=3)
+        pt = PendingTransfer(1, 0, 9, [b"p"])
         assert pt.routes_tried == set()
         assert (pt.retransmissions, pt.last_drop_class) == (0, None)
         assert (pt.deadline, pt.delivered, pt.failed) == (None, False, False)
