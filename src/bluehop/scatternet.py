@@ -39,6 +39,8 @@ class Scatternet:
     piconets: list[Piconet] = field(default_factory=list)
     # node -> {piconet id -> Role}
     memberships: dict[int, dict[int, Role]] = field(default_factory=dict)
+    # (a, b) -> (piconet id, transmit parity for ``a``), built at formation
+    links: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
 
     @property
     def bridge_nodes(self) -> set[int]:
@@ -55,14 +57,7 @@ class Scatternet:
         slave (odd slots). Only master<->active-slave pairs form links; two
         slaves of one piconet never exchange directly.
         """
-        ra, rb = self.roles_of(a), self.roles_of(b)
-        for pid in sorted(set(ra) & set(rb)):
-            pair = (ra[pid], rb[pid])
-            if pair == (Role.MASTER, Role.ACTIVE_SLAVE):
-                return pid, 0
-            if pair == (Role.ACTIVE_SLAVE, Role.MASTER):
-                return pid, 1
-        return None
+        return self.links.get((a, b))
 
 
 def form_scatternet(adjacency: dict[int, set[int]]) -> Scatternet:
@@ -73,7 +68,8 @@ def form_scatternet(adjacency: dict[int, set[int]]) -> Scatternet:
     neighbours as active slaves; further unassigned neighbours are parked.
     In-range nodes already serving another piconet gain an extra active-slave
     role (becoming bridges) while the new piconet has capacity. The result
-    depends only on the graph.
+    depends only on the graph. The link map is built last, in piconet id
+    order; should a pair ever share two piconets, the lower id carries it.
     """
     order = sorted(adjacency, key=lambda n: (-len(adjacency[n]), n))
     net = Scatternet()
@@ -104,6 +100,10 @@ def form_scatternet(adjacency: dict[int, set[int]]) -> Scatternet:
             if m in net.memberships and pico.id not in net.memberships[m]:
                 if len(pico.active_slaves) < MAX_ACTIVE_SLAVES:
                     grant(pico, m, Role.ACTIVE_SLAVE)
+    for pico in net.piconets:
+        for m in pico.active_slaves:
+            net.links.setdefault((pico.master, m), (pico.id, 0))
+            net.links.setdefault((m, pico.master), (pico.id, 1))
     return net
 
 

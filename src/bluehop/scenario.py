@@ -215,7 +215,7 @@ def validate_scenario(data) -> ScenarioConfig:
         if not _is_num(y):
             err(f"{path}.y", "expected a finite number (metres)")
         class_id = raw.get("class")
-        if class_id not in (1, 2, 3):
+        if not (_is_int(class_id) and class_id in (1, 2, 3)):
             err(f"{path}.class", "expected device class 1, 2 or 3")
             class_id = None
         range_m = raw.get("range")

@@ -138,11 +138,12 @@ class Engine:
         self.world: dict[int, Node] = {}
         self.net: Scatternet | None = None
         self.runtimes: dict[int, NodeRuntime] = {}
+        # The in-range graph, re-tested only for the pairs a change touches.
+        self.near: dict[int, set[int]] = {}
         self._links: dict[int, tuple[int, ...]] = {}
         self._hop_seqs: dict[int, baseband.HopSequence] = {}
         self._msg_counter = 0
         self._started = False
-        self._has_motion = any(spec.waypoints for spec in config.nodes)
         # Every message's sender-side state, kept engine-wide so a reboot or a
         # late packet can never lose or double-count an outcome.
         self.transfers: dict[int, transport.PendingTransfer] = {}
@@ -152,23 +153,31 @@ class Engine:
             if path and path[0][0] != 0:
                 path.insert(0, (0, start))
             self.world[spec.id] = Node(spec.id, start, spec.range_m, spec.state, path)
+        self._movers = [n for n in sorted(self.world) if self.world[n].path]
 
     # ------------------------------------------------------------------ setup
 
     def _start(self) -> None:
         self._started = True
         topology.apply_motion(self.world, 0)
+        ids = sorted(self.world)
+        self.near = {n: set() for n in ids}
+        for i, a in enumerate(ids):
+            for b in ids[i + 1 :]:
+                if topology.in_range(self.world[a], self.world[b]):
+                    self.near[a].add(b)
+                    self.near[b].add(a)
         self._maybe_reform()
         self._rebuild_adjacency()
-        for n in sorted(self.world):
+        for n in ids:
             if self.world[n].state is NodeState.ACTIVE:
                 self._init_node_routing(n)
-        if self._has_motion:
+        if self._movers:
             t = MOTION_CADENCE_HUS
             while t <= self.horizon:
                 self.queue.schedule(0, t, EventKind.MOTION_UPDATE)
                 t += MOTION_CADENCE_HUS
-        for n in sorted(self.world):
+        for n in ids:
             t = self.t_adv
             while t <= self.horizon:
                 self.queue.schedule(0, t, EventKind.ADVERTISEMENT_TIMER, n)
@@ -215,25 +224,38 @@ class Engine:
         self.trace.append(record)
         metrics.record_event(self.metrics, record)
 
+    def _recheck(self, changed: list[int]) -> None:
+        """Re-test every pair that touches a changed node, each pair once."""
+        done: set[int] = set()
+        for a in changed:
+            node, near = self.world[a], self.near[a]
+            for b, other in self.world.items():
+                if b == a or b in done:
+                    continue
+                if topology.in_range(node, other):
+                    near.add(b)
+                    self.near[b].add(a)
+                else:
+                    near.discard(b)
+                    self.near[b].discard(a)
+            done.add(a)
+
     def _rebuild_adjacency(self) -> None:
-        ids = sorted(self.world)
-        self._links = {n: () for n in ids}
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                if scatternet.link_allowed(a, b, self.world, self.net, self.mode):
-                    self._links[a] += (b,)
-                    self._links[b] += (a,)
+        if self.mode is LinkMode.SCATTERNET:
+            granted = self.net.links
+            self._links = {
+                n: tuple(sorted(m for m in near if (n, m) in granted))
+                for n, near in self.near.items()
+            }
+        else:
+            self._links = {n: tuple(sorted(near)) for n, near in self.near.items()}
 
     def links(self, n: int) -> tuple[int, ...]:
         return self._links.get(n, ())
 
     def _form_scatternet(self) -> None:
-        active = {
-            n: node for n, node in self.world.items() if node.state is NodeState.ACTIVE
-        }
         adjacency = {
-            n: {m for m in active if m != n and topology.in_range(active[n], active[m])}
-            for n in sorted(active)
+            n: near for n, near in self.near.items() if self.world[n].state is NodeState.ACTIVE
         }
         self.net = scatternet.form_scatternet(adjacency)
         self._emit("scatternet", None, scatternet.scatternet_to_json(self.net))
@@ -248,12 +270,11 @@ class Engine:
 
     def _scatternet_broken(self) -> bool:
         for pico in self.net.piconets:
-            master = self.world[pico.master]
-            if master.state is not NodeState.ACTIVE:
+            if self.world[pico.master].state is not NodeState.ACTIVE:
                 return True
+            heard = self.near[pico.master]
             for member in pico.active_slaves + pico.parked_slaves:
-                node = self.world[member]
-                if node.state is NodeState.ACTIVE and not topology.in_range(master, node):
+                if self.world[member].state is NodeState.ACTIVE and member not in heard:
                     return True
         return any(
             node.state is NodeState.ACTIVE and not self.net.roles_of(n)
@@ -344,7 +365,7 @@ class Engine:
                 continue
             channel = None
             if self.mode is LinkMode.SCATTERNET:
-                link = self.net.link_piconet(n, frame.to) if self.net else None
+                link = self.net.link_piconet(n, frame.to)
                 if link is None:
                     self._emit(
                         "packet_lost",
@@ -392,6 +413,7 @@ class Engine:
     def _on_motion(self) -> None:
         topology.apply_motion(self.world, self.now)
         self._emit("motion", None, {})
+        self._recheck(self._movers)
         self._maybe_reform()
         self._rebuild_adjacency()
 
@@ -440,6 +462,7 @@ class Engine:
         was_active = node.state is NodeState.ACTIVE
         node.state = state
         self._emit("state_change", n, {"state": state.value})
+        self._recheck([n])
         self._maybe_reform()
         self._rebuild_adjacency()
         if state is NodeState.ACTIVE and not was_active:

@@ -8,6 +8,7 @@ retransmitted over an alternate first hop when the ack timer expires.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -19,20 +20,27 @@ class OpacityViolation(AssertionError):
 
 
 def _keystream(seed: int, src: int, dst: int, length: int) -> bytes:
-    out = bytearray()
-    label = f"seal:{seed}:{src}:{dst}".encode()
-    counter = 0
-    while len(out) < length:
-        out += hashlib.sha256(label + b":" + str(counter).encode()).digest()
-        counter += 1
-    return bytes(out[:length])
+    """SHA-256 over "seal:<seed>:<src>:<dst>:<counter>" blocks, cut to length."""
+    prefix = hashlib.sha256(f"seal:{seed}:{src}:{dst}:".encode())
+    blocks = []
+    for counter in range((length + 31) // 32):
+        block = prefix.copy()
+        block.update(str(counter).encode())
+        blocks.append(block.digest())
+    return b"".join(blocks)[:length]
+
+
+@functools.lru_cache(maxsize=64)
+def _seal_key(seed: int, src: int, dst: int, length: int) -> int:
+    """The seal keystream as one integer; a flow's messages repeat it."""
+    return int.from_bytes(_keystream(seed, src, dst, length), "big")
 
 
 def seal_payload(plaintext: bytes, src: int, dst: int, scenario_seed: int) -> bytes:
     """XOR the plaintext with the (seed, src, dst) keystream; length preserved."""
-    ks = _keystream(scenario_seed, src, dst, len(plaintext))
-    x = int.from_bytes(plaintext, "big") ^ int.from_bytes(ks, "big")
-    return x.to_bytes(len(plaintext), "big")
+    n = len(plaintext)
+    x = int.from_bytes(plaintext, "big") ^ _seal_key(scenario_seed, src, dst, n)
+    return x.to_bytes(n, "big")
 
 
 def open_payload(sealed: bytes, src: int, dst: int, scenario_seed: int) -> bytes:
@@ -50,7 +58,10 @@ def open_payload_at(
 
 
 def make_payload(scenario_seed: int, msg_id: int, size: int) -> bytes:
-    """Deterministic synthetic traffic payload of ``size`` bytes."""
+    """Deterministic synthetic traffic payload of ``size`` bytes.
+
+    Not memoised: its (msg_id, size) key never repeats within a run.
+    """
     return _keystream(scenario_seed ^ 0x5CE2A810, msg_id, size, size)
 
 

@@ -152,6 +152,30 @@ class TestLinkAllowed:
                     assert link_allowed(a, b, world, None, LinkMode.GEOMETRIC)
 
 
+def role_intersection(net, a, b):
+    """The link rule read off the roles: the lowest shared piconet where one
+    end is master and the other an active slave, with ``a``'s parity."""
+    ra, rb = net.roles_of(a), net.roles_of(b)
+    for pid in sorted(set(ra) & set(rb)):
+        pair = (ra[pid], rb[pid])
+        if pair == (Role.MASTER, Role.ACTIVE_SLAVE):
+            return pid, 0
+        if pair == (Role.ACTIVE_SLAVE, Role.MASTER):
+            return pid, 1
+    return None
+
+
+class TestLinkMap:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_role_intersection(self, seed):
+        # Spans from sparse chains to crowded piconets with parked slaves.
+        positions = random_positions(seed, span=[15.0, 25.0, 40.0][seed % 3], n_range=(2, 30))
+        net = form_scatternet(geometric_adjacency(positions))
+        for a in positions:
+            for b in positions:
+                assert net.link_piconet(a, b) == role_intersection(net, a, b)
+
+
 class TestDump:
     def test_json_shape(self):
         positions = {0: (0.0, 0.0), 1: (5.0, 0.0)}

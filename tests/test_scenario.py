@@ -90,6 +90,17 @@ class TestClassRange:
         data = with_node("range", 50.0)
         assert errors_of(data) == ["nodes[0].range: class 3 range must lie in [5.0, 10.0] m"]
 
+    def test_class_must_be_an_integer(self):
+        # A JSON true equals 1 and 2.0 equals 2, but neither names a class.
+        nodes = [
+            {"id": 0, "x": 0, "y": 0, "class": True},
+            {"id": 1, "x": 0, "y": 0, "class": 2.0},
+        ]
+        assert errors_of({"horizon": 1.0, "nodes": nodes}) == [
+            "nodes[0].class: expected device class 1, 2 or 3",
+            "nodes[1].class: expected device class 1, 2 or 3",
+        ]
+
 
 class TestRejects:
     def test_node_count_cap(self):

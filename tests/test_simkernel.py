@@ -1,11 +1,20 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bluehop import scenario_path
 from bluehop.routing import RouteEntry
+from bluehop.scatternet import link_allowed
 from bluehop.scenario import parse_scenario, validate_scenario
-from bluehop.simkernel import CausalityError, Engine, EventKind, EventQueue, run_scenario
+from bluehop.simkernel import (
+    MOTION_CADENCE_HUS,
+    CausalityError,
+    Engine,
+    EventKind,
+    EventQueue,
+    run_scenario,
+)
 from bluehop.topology import Node, NodeState, Position
 
 from conftest import geometric_scenario
@@ -401,3 +410,56 @@ class TestScatternetMode:
         for form in forms:
             for pico in form["detail"]["piconets"]:
                 assert len(pico["active_slaves"]) <= 7
+
+
+# A 2 m grid puts many pairs exactly 10 m apart, which is the class-3 range.
+GRID = st.integers(0, 10).map(lambda k: 2.0 * k)
+
+
+@st.composite
+def churning_scenarios(draw):
+    n = draw(st.integers(1, 12))
+    nodes = []
+    for i in range(n):
+        node = {"id": i, "x": draw(GRID), "y": draw(GRID), "class": 3}
+        if draw(st.booleans()):
+            node["range"] = draw(st.sampled_from([6.0, 8.0]))
+        if draw(st.booleans()):
+            t, waypoints = 0.0, []
+            for _ in range(draw(st.integers(1, 3))):
+                t += draw(st.sampled_from([0.1, 0.25, 0.3]))
+                waypoints.append([round(t, 2), draw(GRID), draw(GRID)])
+            node["waypoints"] = waypoints
+        nodes.append(node)
+    actions = []
+    for _ in range(draw(st.integers(0, 5))):
+        action = {"time": draw(st.integers(0, 20)) / 20, "node": draw(st.integers(0, n - 1))}
+        if draw(st.booleans()):
+            action["action"] = "withdraw"
+        else:
+            action["action"] = "set_state"
+            action["state"] = draw(st.sampled_from(["off", "parked", "active"]))
+        actions.append(action)
+    return {
+        "link_mode": draw(st.sampled_from(["geometric", "scatternet"])),
+        "horizon": 1.0,
+        "nodes": nodes,
+        "actions": actions,
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(churning_scenarios())
+def test_links_match_the_link_rule_after_every_change(data):
+    # The kernel keeps the in-range graph incrementally; after every motion
+    # tick and action it must agree with the rule evaluated from scratch.
+    engine = Engine(validate_scenario(data), 0)
+    ticks = range(0, engine.horizon + 1, MOTION_CADENCE_HUS)
+    for t in sorted({*ticks, *(a.time_hus for a in engine.config.actions)}):
+        engine.run(until=t)
+        ids = sorted(engine.world)
+        for n in ids:
+            want = tuple(
+                m for m in ids if link_allowed(n, m, engine.world, engine.net, engine.mode)
+            )
+            assert engine.links(n) == want, (t, n)

@@ -51,6 +51,13 @@ class TestSeal:
         assert sealed == want
         # Frozen vector so drift across runs cannot go unnoticed.
         assert sealed.hex() == "3d505311e9e52b561e3d52"
+        # Block edges, and twice each so the memoised key is read back too.
+        for length in (0, 1, 31, 32, 33, 200, 2000):
+            for _ in range(2):
+                assert seal_payload(bytes(length), 1, 2, 42) == keystream_oracle(42, 1, 2, length)
+                assert make_payload(42, 7, length) == keystream_oracle(
+                    42 ^ 0x5CE2A810, 7, length, length
+                )
 
     def test_mismatched_key_garbles(self):
         p = b"confidential!"
