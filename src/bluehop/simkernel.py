@@ -2,10 +2,12 @@
 
 A single time-ordered queue carries motion updates, lifecycle changes,
 protocol timers and packet arrivals. Time is an integer half-microsecond
-counter, ties break by scheduling order, and every random quantity (hop
-sequences, payload seals, synthetic payloads) derives from the scenario
-seed through a named label, so two runs of the same (config, seed) produce
-byte-identical traces.
+counter. At one instant the motion tick, then the advertisement round, run
+right after the events armed when set-up started each node's routing; every
+other tie breaks by scheduling order. Every random quantity (hop sequences,
+payload seals, synthetic payloads) derives from the scenario seed through a
+named label, so two runs of the same (config, seed) produce byte-identical
+traces.
 """
 from __future__ import annotations
 
@@ -60,6 +62,15 @@ class EventQueue:
             raise CausalityError(f"event at {time} scheduled from {now}")
         heapq.heappush(self._heap, Event(time, self._sequence, kind, args))
         self._sequence += 1
+
+    def reserve(self) -> int:
+        """Take the next sequence number for a periodic event that re-arms under it."""
+        self._sequence += 1
+        return self._sequence - 1
+
+    def rearm(self, time: int, sequence: int, kind: EventKind) -> None:
+        """Push the next firing of a periodic event under its reserved number."""
+        heapq.heappush(self._heap, Event(time, sequence, kind, ()))
 
     def peek_time(self) -> int | None:
         return self._heap[0].time if self._heap else None
@@ -138,8 +149,6 @@ class Engine:
         self.world: dict[int, Node] = {}
         self.net: Scatternet | None = None
         self.runtimes: dict[int, NodeRuntime] = {}
-        # The in-range graph, re-tested only for the pairs a change touches.
-        self.near: dict[int, set[int]] = {}
         self._links: dict[int, tuple[int, ...]] = {}
         self._hop_seqs: dict[int, baseband.HopSequence] = {}
         self._msg_counter = 0
@@ -153,35 +162,27 @@ class Engine:
             if path and path[0][0] != 0:
                 path.insert(0, (0, start))
             self.world[spec.id] = Node(spec.id, start, spec.range_m, spec.state, path)
-        self._movers = [n for n in sorted(self.world) if self.world[n].path]
+        self._ids = sorted(self.world)
+        self._movers = [n for n in self._ids if self.world[n].path]
+        # The in-range graph, re-tested only for the pairs a change touches.
+        self.near: dict[int, set[int]] = {n: set() for n in self._ids}
 
     # ------------------------------------------------------------------ setup
 
     def _start(self) -> None:
         self._started = True
         topology.apply_motion(self.world, 0)
-        ids = sorted(self.world)
-        self.near = {n: set() for n in ids}
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                if topology.in_range(self.world[a], self.world[b]):
-                    self.near[a].add(b)
-                    self.near[b].add(a)
-        self._maybe_reform()
-        self._rebuild_adjacency()
-        for n in ids:
+        self._relink(self._ids)
+        for n in self._ids:
             if self.world[n].state is NodeState.ACTIVE:
                 self._init_node_routing(n)
+        # The periodic timers re-arm themselves under sequence numbers taken
+        # here. So at any instant the motion tick, then the advertisement
+        # round, run after the events armed above and before all others.
+        self._motion_seq, self._round_seq = self.queue.reserve(), self.queue.reserve()
         if self._movers:
-            t = MOTION_CADENCE_HUS
-            while t <= self.horizon:
-                self.queue.schedule(0, t, EventKind.MOTION_UPDATE)
-                t += MOTION_CADENCE_HUS
-        for n in ids:
-            t = self.t_adv
-            while t <= self.horizon:
-                self.queue.schedule(0, t, EventKind.ADVERTISEMENT_TIMER, n)
-                t += self.t_adv
+            self._rearm(EventKind.MOTION_UPDATE, MOTION_CADENCE_HUS, self._motion_seq)
+        self._rearm(EventKind.ADVERTISEMENT_TIMER, self.t_adv, self._round_seq)
         for action in self.config.actions:
             self.queue.schedule(0, action.time_hus, EventKind.SCENARIO_ACTION, action)
         for spec in self.config.traffic:
@@ -191,13 +192,17 @@ class Engine:
                     break
                 self.queue.schedule(0, t, EventKind.SCENARIO_ACTION, spec)
 
+    def _rearm(self, kind: EventKind, period: int, sequence: int) -> None:
+        if self.now + period <= self.horizon:
+            self.queue.rearm(self.now + period, sequence, kind)
+
     def run(self, until: int | None = None):
         """Advance the run to ``until`` (default: the horizon). Resumable."""
         if not self._started:
             self._start()
         handlers = {
             EventKind.MOTION_UPDATE: self._on_motion,
-            EventKind.ADVERTISEMENT_TIMER: self._on_adv_timer,
+            EventKind.ADVERTISEMENT_TIMER: self._on_adv_round,
             EventKind.ACK_TIMER: self._on_ack_timer,
             EventKind.NEIGHBOR_EXPIRY: self._on_neighbor_expiry,
             EventKind.PACKET_ARRIVAL: self._on_arrival,
@@ -224,8 +229,12 @@ class Engine:
         self.trace.append(record)
         metrics.record_event(self.metrics, record)
 
-    def _recheck(self, changed: list[int]) -> None:
-        """Re-test every pair that touches a changed node, each pair once."""
+    def _relink(self, changed: list[int]) -> None:
+        """Bring the links up to date after the ``changed`` nodes moved or changed state.
+
+        Every pair that touches a changed node is re-tested once, and the
+        scatternet is re-formed when churn broke a piconet or orphaned a node.
+        """
         done: set[int] = set()
         for a in changed:
             node, near = self.world[a], self.near[a]
@@ -239,34 +248,22 @@ class Engine:
                     near.discard(b)
                     self.near[b].discard(a)
             done.add(a)
-
-    def _rebuild_adjacency(self) -> None:
-        if self.mode is LinkMode.SCATTERNET:
-            granted = self.net.links
-            self._links = {
-                n: tuple(sorted(m for m in near if (n, m) in granted))
-                for n, near in self.near.items()
-            }
-        else:
+        if self.mode is not LinkMode.SCATTERNET:
             self._links = {n: tuple(sorted(near)) for n, near in self.near.items()}
+            return
+        if self.net is None or self._scatternet_broken():
+            active = {
+                n: near for n, near in self.near.items() if self.world[n].state is NodeState.ACTIVE
+            }
+            self.net = scatternet.form_scatternet(active)
+            self._emit("scatternet", None, scatternet.scatternet_to_json(self.net))
+        granted = self.net.links
+        self._links = {
+            n: tuple(sorted(m for m in near if (n, m) in granted)) for n, near in self.near.items()
+        }
 
     def links(self, n: int) -> tuple[int, ...]:
         return self._links.get(n, ())
-
-    def _form_scatternet(self) -> None:
-        adjacency = {
-            n: near for n, near in self.near.items() if self.world[n].state is NodeState.ACTIVE
-        }
-        self.net = scatternet.form_scatternet(adjacency)
-        self._emit("scatternet", None, scatternet.scatternet_to_json(self.net))
-
-    def _maybe_reform(self) -> None:
-        """Re-form the scatternet when churn broke a piconet or orphaned a node.
-
-        Callers rebuild the adjacency afterwards.
-        """
-        if self.mode is LinkMode.SCATTERNET and (self.net is None or self._scatternet_broken()):
-            self._form_scatternet()
 
     def _scatternet_broken(self) -> bool:
         for pico in self.net.piconets:
@@ -411,17 +408,18 @@ class Engine:
     # ---------------------------------------------------------- timers/churn
 
     def _on_motion(self) -> None:
+        self._rearm(EventKind.MOTION_UPDATE, MOTION_CADENCE_HUS, self._motion_seq)
         topology.apply_motion(self.world, self.now)
         self._emit("motion", None, {})
-        self._recheck(self._movers)
-        self._maybe_reform()
-        self._rebuild_adjacency()
+        self._relink(self._movers)
 
-    def _on_adv_timer(self, n: int) -> None:
-        if self.world[n].state is not NodeState.ACTIVE:
-            return
-        self._emit("adv_timer", n, {})
-        self._broadcast_advs(n)
+    def _on_adv_round(self) -> None:
+        """Every active node advertises to each of its links, in id order."""
+        self._rearm(EventKind.ADVERTISEMENT_TIMER, self.t_adv, self._round_seq)
+        for n in self._ids:
+            if self.world[n].state is NodeState.ACTIVE:
+                self._emit("adv_timer", n, {})
+                self._broadcast_advs(n)
 
     def _on_neighbor_expiry(self, n: int, neighbor: int) -> None:
         if self.world[n].state is not NodeState.ACTIVE:
@@ -462,9 +460,7 @@ class Engine:
         was_active = node.state is NodeState.ACTIVE
         node.state = state
         self._emit("state_change", n, {"state": state.value})
-        self._recheck([n])
-        self._maybe_reform()
-        self._rebuild_adjacency()
+        self._relink([n])
         if state is NodeState.ACTIVE and not was_active:
             # A node that rejoins finds its immediate neighbours afresh.
             self._init_node_routing(n)
@@ -474,11 +470,7 @@ class Engine:
     def _send_message(self, src: int, dst: int, nbytes: int) -> None:
         msg_id = self._msg_counter
         self._msg_counter += 1
-        if (
-            src not in self.world
-            or dst not in self.world
-            or self.world[src].state is not NodeState.ACTIVE
-        ):
+        if self.world[src].state is not NodeState.ACTIVE:
             self._emit(
                 "msg_rejected",
                 src,

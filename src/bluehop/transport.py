@@ -43,18 +43,16 @@ def seal_payload(plaintext: bytes, src: int, dst: int, scenario_seed: int) -> by
     return x.to_bytes(n, "big")
 
 
-def open_payload(sealed: bytes, src: int, dst: int, scenario_seed: int) -> bytes:
-    """Inverse of seal_payload."""
-    return seal_payload(sealed, src, dst, scenario_seed)
-
-
 def open_payload_at(
     node: int, sealed: bytes, src: int, dst: int, scenario_seed: int
 ) -> bytes:
-    """Open a sealed payload, asserting the caller is the destination."""
+    """Open a sealed payload, asserting the caller is the destination.
+
+    Sealing is an XOR with the keystream, so it is its own inverse.
+    """
     if node != dst:
         raise OpacityViolation(f"node {node} tried to open a payload sealed for {dst}")
-    return open_payload(sealed, src, dst, scenario_seed)
+    return seal_payload(sealed, src, dst, scenario_seed)
 
 
 def make_payload(scenario_seed: int, msg_id: int, size: int) -> bytes:

@@ -102,6 +102,79 @@ class TestKernelBasics:
         assert all(a <= b for a, b in zip(times, times[1:]))
 
 
+def _kinds_at(trace, t_us, kinds):
+    return [(r["kind"], r["node"]) for r in trace if r["t_us"] == t_us and r["kind"] in kinds]
+
+
+class TestPeriodicTimers:
+    def test_queue_after_setup_does_not_grow_with_horizon_over_period(self):
+        nodes = [{"id": i, "x": 5.0 * i, "y": 0.0, "class": 3} for i in range(10)]
+        nodes[9]["waypoints"] = [[600.0, 50.0, 0.0]]
+        config = validate_scenario(
+            {"horizon": 600.0, "protocol": {"t_adv": 0.01}, "nodes": nodes}
+        )
+        engine = Engine(config, 0)
+        engine.run(until=0)
+        # One motion tick, one advertisement round, and per node at most one
+        # frame on air and one expiry check per neighbour.
+        assert len(engine.queue) < 50
+
+    def test_one_instant_runs_motion_then_round_then_scenario_events(self):
+        config = validate_scenario(
+            {
+                "horizon": 2.0,
+                "protocol": {"t_adv": 1.0},
+                "nodes": [
+                    {"id": 0, "x": 0.0, "y": 0.0, "class": 3},
+                    {"id": 1, "x": 5.0, "y": 0.0, "class": 3, "state": "off"},
+                    {"id": 2, "x": 5.0, "y": 5.0, "class": 3},
+                    {"id": 3, "x": 0.0, "y": 5.0, "class": 3,
+                     "waypoints": [[2.0, 0.0, 8.0]]},
+                ],
+                "actions": [{"time": 1.0, "node": 2, "action": "set_state", "state": "off"}],
+                "traffic": [{"time": 1.0, "src": 0, "dst": 3, "payload_bytes": 20}],
+            }
+        )
+        _, trace = run_scenario(config, 0)
+        kinds = {"motion", "adv_timer", "state_change", "msg_send"}
+        assert _kinds_at(trace, 1_000_000, kinds) == [
+            ("motion", None),
+            ("adv_timer", 0),
+            ("adv_timer", 2),
+            ("adv_timer", 3),
+            ("state_change", 2),
+            ("msg_send", 0),
+        ]
+
+    def test_checks_armed_at_setup_run_before_the_periodic_timers(self):
+        # Node 1 powers off before its first advertisement lands, so the
+        # expiry checks its neighbours armed at set-up fire at 3 * t_adv, the
+        # same instant as a motion tick and an advertisement round. Set-up
+        # armed them first, so they run first.
+        config = validate_scenario(
+            {
+                "horizon": 4.0,
+                "protocol": {"t_adv": 1.0},
+                "nodes": [
+                    {"id": 0, "x": 0.0, "y": 0.0, "class": 3},
+                    {"id": 1, "x": 5.0, "y": 0.0, "class": 3},
+                    {"id": 2, "x": 0.0, "y": 5.0, "class": 3,
+                     "waypoints": [[4.0, 0.0, 6.0]]},
+                ],
+                "actions": [{"time": 0.0, "node": 1, "action": "set_state", "state": "off"}],
+            }
+        )
+        _, trace = run_scenario(config, 0)
+        kinds = {"neighbor_expiry", "motion", "adv_timer"}
+        assert _kinds_at(trace, 3_000_000, kinds) == [
+            ("neighbor_expiry", 0),
+            ("neighbor_expiry", 2),
+            ("motion", None),
+            ("adv_timer", 0),
+            ("adv_timer", 2),
+        ]
+
+
 class TestDeliveryPaths:
     def test_relay_scenario_hop_trace(self):
         config = parse_scenario(scenario_path("figure4.json"))
