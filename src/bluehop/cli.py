@@ -18,6 +18,63 @@ from .simkernel import Engine
 
 CSV_HEADER = ["msg_id", "src", "dst", "bytes", "outcome", "hops", "latency_us", "retries"]
 
+# Trace lines are byte-for-byte ``json.dumps(record, separators=(",", ":"))``.
+# The common kinds are written from their fields with an f-string: keys in
+# emission order, ``t_us`` and ``latency_us`` (int or half-us float) via repr,
+# hex and vocabulary strings unescaped because they never need escaping.
+# A new or changed detail layout must update this table; any other kind goes
+# through the shared encoder.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _optional(d: dict, key: str) -> str:
+    """The trailing integer ``key`` of a detail, or nothing when the record omits it."""
+    return f',"{key}":{d[key]}' if key in d else ""
+
+
+TRACE_DETAIL = {
+    "ctrl_sent": lambda d: f'{{"to":{d["to"]},"ctrl":"{d["ctrl"]}"{_optional(d, "channel")}}}',
+    "ctrl_rx": lambda d: f'{{"from":{d["from"]},"ctrl":"{d["ctrl"]}"{_optional(d, "target")}}}',
+    "data_tx": lambda d: (
+        f'{{"to":{d["to"]},"msg_id":{d["msg_id"]},"fragment":{d["fragment"]},'
+        f'"slots":{d["slots"]}{_optional(d, "channel")}}}'
+    ),
+    "data_rx": lambda d: (
+        f'{{"from":{d["from"]},"msg_id":{d["msg_id"]},"fragment":{d["fragment"]},'
+        f'"payload":"{d["payload"]}","hop_trace":[{",".join(map(str, d["hop_trace"]))}]}}'
+    ),
+    "ack_tx": lambda d: f'{{"to":{d["to"]},"msg_id":{d["msg_id"]}{_optional(d, "channel")}}}',
+    "ack_rx": lambda d: f'{{"msg_id":{d["msg_id"]},"from":{d["from"]}}}',
+    "msg_send": lambda d: (
+        f'{{"msg_id":{d["msg_id"]},"dst":{d["dst"]},"bytes":{d["bytes"]},'
+        f'"fragments":{d["fragments"]},"plaintext":"{d["plaintext"]}"}}'
+    ),
+    "delivery": lambda d: (
+        f'{{"msg_id":{d["msg_id"]},"src":{d["src"]},"bytes":{d["bytes"]},"hops":{d["hops"]},'
+        f'"latency_us":{d["latency_us"]!r},"retries":{d["retries"]},'
+        f'"plaintext":"{d["plaintext"]}"}}'
+    ),
+    "ack_timeout": lambda d: f'{{"msg_id":{d["msg_id"]},"retries_left":{d["retries_left"]}}}',
+    "discovery": lambda d: f'{{"target":{d["target"]}}}',
+    "drop": lambda d: (
+        f'{{"msg_id":{d["msg_id"]},"fragment":{d["fragment"]},"class":"{d["class"]}"}}'
+    ),
+    "adv_timer": lambda d: "{}",
+    "motion": lambda d: "{}",
+}
+
+
+def trace_line(record: dict) -> str:
+    """One NDJSON line of the trace: the compact ``json.dumps`` of ``record``."""
+    detail = TRACE_DETAIL.get(record["kind"])
+    if detail is None:
+        return _encode(record) + "\n"
+    node = record["node"]
+    return (
+        f'{{"t_us":{record["t_us"]!r},"seq":{record["seq"]},"kind":"{record["kind"]}",'
+        f'"node":{"null" if node is None else node},"detail":{detail(record["detail"])}}}\n'
+    )
+
 
 def _write_outputs(out_dir: Path, engine: Engine) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -26,8 +83,7 @@ def _write_outputs(out_dir: Path, engine: Engine) -> None:
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     with open(out_dir / "trace.ndjson", "w", encoding="utf-8") as fh:
-        for record in engine.trace:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        fh.writelines(map(trace_line, engine.trace))
     with open(out_dir / "deliveries.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
         writer.writeheader()
@@ -53,7 +109,7 @@ def _sim_seconds(text: str) -> float:
 
 def _cmd_run(args) -> int:
     config = parse_scenario(args.scenario)
-    seeds = args.seeds or [args.seed]
+    seeds = args.seeds or [args.seed or 0]
     base = Path(args.out)
     for seed in seeds:
         engine = Engine(config, seed)
@@ -88,8 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario and write report, trace, deliveries")
     p_run.add_argument("scenario", help="scenario JSON file")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--seeds", type=_seed_range, help="inclusive seed range A..B for a sweep")
+    seeding = p_run.add_mutually_exclusive_group()
+    # No default here: argparse lets an explicit value equal to the default
+    # through a mutually exclusive group, so ``--seed 0 --seeds ...`` would pass.
+    seeding.add_argument("--seed", type=int, help="engine seed (default 0)")
+    seeding.add_argument("--seeds", type=_seed_range, help="inclusive seed range A..B for a sweep")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=_cmd_run)
 

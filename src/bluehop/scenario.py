@@ -349,4 +349,10 @@ def parse_scenario(path: str) -> ScenarioConfig:
         raise ScenarioError([f"{path}: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{path}: malformed JSON: {exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"{path}: not UTF-8 text: {exc}"]) from exc
+    except ValueError as exc:  # an integer literal longer than int's digit limit
+        raise ScenarioError([f"{path}: unreadable JSON: {exc}"]) from exc
+    except RecursionError as exc:
+        raise ScenarioError([f"{path}: JSON nests too deeply"]) from exc
     return validate_scenario(data)

@@ -2,9 +2,10 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bluehop import scenario_path
-from bluehop.cli import main
+from bluehop.cli import TRACE_DETAIL, main, trace_line
 
 
 class TestRun:
@@ -76,6 +77,25 @@ class TestExitCodes:
     def test_missing_file_is_exit_one(self, tmp_path):
         assert main(["run", "/no/such.json", "--out", str(tmp_path / "o")]) == 1
 
+    def test_non_utf8_file_is_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"horizon": 1.0, "nodes": [], "x": "\xff"}')
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_deeply_nested_file_is_exit_one(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["run", str(deep), "--out", str(tmp_path / "o")]) == 1
+        assert "nests too deeply" in capsys.readouterr().err
+
+    def test_overlong_integer_is_exit_one(self, tmp_path, capsys):
+        # Past sys.get_int_max_str_digits() (4300 by default) json raises ValueError.
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"horizon": 1' + "0" * 5000 + ', "nodes": []}')
+        assert main(["run", str(huge), "--out", str(tmp_path / "o")]) == 1
+        assert "unreadable JSON" in capsys.readouterr().err
+
     def test_runtime_error_is_exit_two(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the output directory should go")
@@ -88,6 +108,17 @@ class TestExitCodes:
             main(["run", scenario_path("figure4.json"), "--seeds", seeds, "--out", str(out)])
         assert exc.value.code == 2
         assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["5", "0"])
+    def test_seed_with_seeds_is_usage_error(self, seed, tmp_path, capsys):
+        # "0" is --seed's default value: the conflict must still be caught.
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", scenario_path("figure4.json"), "--seed", seed, "--seeds", "0..2",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("at", ["nan", "inf", "-1", "x"])
@@ -150,3 +181,80 @@ class TestExitCodes:
         with open(out / "deliveries.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["retries"] == "3"
+
+
+ints = st.integers(-(2**70), 2**70)
+half_us = st.integers(0, 2**62).map(lambda h: h // 2 if h % 2 == 0 else h / 2)
+hexes = st.binary(max_size=40).map(bytes.hex)
+ctrls = st.sampled_from(["advertisement", "withdraw", "discovery_request"])
+
+
+@st.composite
+def details(draw, required, optional=()):
+    """A detail dict with the required keys in order, then each optional key or not."""
+    detail = {key: draw(values) for key, values in required}
+    for key, values in optional:
+        if draw(st.booleans()):
+            detail[key] = draw(values)
+    return detail
+
+
+def _ids(*keys):
+    return [(key, ints) for key in keys]
+
+
+DETAILS = {
+    "ctrl_sent": details(_ids("to") + [("ctrl", ctrls)], [("channel", ints)]),
+    "ctrl_rx": details(_ids("from") + [("ctrl", ctrls)], [("target", ints)]),
+    "data_tx": details(_ids("to", "msg_id", "fragment", "slots"), [("channel", ints)]),
+    "data_rx": details(
+        _ids("from", "msg_id", "fragment") + [("payload", hexes), ("hop_trace", st.lists(ints))]
+    ),
+    "ack_tx": details(_ids("to", "msg_id"), [("channel", ints)]),
+    "ack_rx": details(_ids("msg_id", "from")),
+    "msg_send": details(_ids("msg_id", "dst", "bytes", "fragments") + [("plaintext", hexes)]),
+    "delivery": details(
+        _ids("msg_id", "src", "bytes", "hops")
+        + [("latency_us", half_us), ("retries", ints), ("plaintext", hexes)]
+    ),
+    "ack_timeout": details(_ids("msg_id", "retries_left")),
+    "discovery": details(_ids("target")),
+    "drop": details(
+        _ids("msg_id", "fragment") + [("class", st.sampled_from(["forward-failure", "ttl-drop"]))]
+    ),
+    "adv_timer": st.just({}),
+    "motion": st.just({}),
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | ints | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def records(draw, kinds, detail_of):
+    """A trace record with its keys in emission order."""
+    kind = draw(st.sampled_from(kinds))
+    return {
+        "t_us": draw(half_us),
+        "seq": draw(st.integers(0, 2**63)),
+        "kind": kind,
+        "node": draw(st.none() | ints),
+        "detail": draw(detail_of(kind)),
+    }
+
+
+class TestTraceLine:
+    def test_every_formatted_kind_is_drawn(self):
+        assert set(DETAILS) == set(TRACE_DETAIL)
+
+    @given(records(sorted(DETAILS), DETAILS.get))
+    def test_formatted_kinds_encode_like_json_dumps(self, record):
+        assert trace_line(record) == json.dumps(record, separators=(",", ":")) + "\n"
+
+    @given(records(["scatternet", "packet_lost", "state_change", "\u00e9\"kind\n"],
+                   lambda kind: st.dictionaries(st.text(), json_values, max_size=4)))
+    def test_other_kinds_encode_like_json_dumps(self, record):
+        assert trace_line(record) == json.dumps(record, separators=(",", ":")) + "\n"

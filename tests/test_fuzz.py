@@ -3,6 +3,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
+from bluehop.cli import trace_line
 from bluehop.metrics import deliveries_from_trace, replay
 from bluehop.scenario import validate_scenario
 from bluehop.simkernel import run_scenario
@@ -58,6 +59,9 @@ def test_bounded_random_runs_keep_their_invariants(config, seed):
     assert m.messages_sent == len(rows) == m.delivered + m.failed_total + len(pending)
     _, again = run_scenario(config, seed)
     assert json.dumps(again) == json.dumps(trace)
+    # `bluehop run` writes each record as its compact json.dumps line.
+    for record in trace:
+        assert trace_line(record) == json.dumps(record, separators=(",", ":")) + "\n"
     # A message still pending at the horizon has an armed ack timer: it was
     # sent or timed out less than t_ack before the end.
     last_armed = {
