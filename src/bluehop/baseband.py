@@ -46,7 +46,6 @@ class SlotClass:
 @dataclass(frozen=True)
 class HopSequence:
     seed: int
-    channel_count: int = CHANNEL_COUNT
 
 
 def slots_for_payload(payload_bits: int, bits_per_slot: int = BITS_PER_SLOT) -> SlotClass:
@@ -85,7 +84,7 @@ def hop_channel(seq: HopSequence, slot_index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     z ^= z >> 31
-    return z % seq.channel_count
+    return z % CHANNEL_COUNT
 
 
 def next_tx_start_hus(now_hus: int, parity: int) -> int:

@@ -12,7 +12,7 @@ import re
 import sys
 from pathlib import Path
 
-from .metrics import deliveries_from_trace, summarize
+from .metrics import summarize
 from .scenario import ScenarioError, parse_scenario, sec_to_hus
 from .simkernel import Engine
 
@@ -87,8 +87,7 @@ def _write_outputs(out_dir: Path, engine: Engine) -> None:
     with open(out_dir / "deliveries.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
         writer.writeheader()
-        for row in deliveries_from_trace(engine.trace):
-            writer.writerow(row)
+        writer.writerows(engine.metrics.rows.values())
 
 
 def _seed_range(text: str) -> list[int]:

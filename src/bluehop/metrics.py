@@ -1,7 +1,8 @@
 """Run metrics: delivery, hops, latency, and control overhead.
 
-Counters are fed one trace record at a time; replaying a run's trace must
-reproduce the online metrics exactly, making the trace the ground truth.
+Counters and the per-message rows of ``deliveries.csv`` are fed one trace
+record at a time; replaying a run's trace must reproduce the online metrics
+exactly, making the trace the ground truth.
 The overhead figure is a packet-count ratio: control packets sent per data
 packet forwarded.
 """
@@ -31,7 +32,8 @@ _PASSIVE_KINDS = frozenset(
 
 @dataclass
 class Metrics:
-    messages_sent: int = 0
+    # One deliveries.csv row per message, in msg_id order (ids are sent in order).
+    rows: dict[int, dict] = field(default_factory=dict)
     delivered: int = 0
     failed: dict[str, int] = field(default_factory=dict)
     delivered_bytes: int = 0
@@ -45,6 +47,10 @@ class Metrics:
     packet_drops: dict[str, int] = field(default_factory=dict)
 
     @property
+    def messages_sent(self) -> int:
+        return len(self.rows)
+
+    @property
     def failed_total(self) -> int:
         return sum(self.failed.values())
 
@@ -56,26 +62,37 @@ class Metrics:
 def record_event(m: Metrics, record: dict) -> None:
     """Fold one trace record into the metrics.
 
-    Exactly one counter family updates per record; unknown kinds are rejected
-    so schema drift cannot silently skew results.
+    Exactly one counter family updates per record, and a message's record
+    also sets its row; unknown kinds are rejected so schema drift cannot
+    silently skew results.
     """
     kind = record["kind"]
     detail = record.get("detail") or {}
-    if kind == "msg_send":
-        m.messages_sent += 1
-    elif kind == "msg_rejected":
-        m.messages_sent += 1
-        m.failed["rejected"] = m.failed.get("rejected", 0) + 1
+    if kind in ("msg_send", "msg_rejected"):
+        outcome = "pending" if kind == "msg_send" else "rejected"
+        m.rows[detail["msg_id"]] = dict(
+            msg_id=detail["msg_id"], src=record["node"], dst=detail["dst"], bytes=detail["bytes"],
+            outcome=outcome, hops="", latency_us="", retries=0,
+        )
+        if outcome == "rejected":
+            m.failed["rejected"] = m.failed.get("rejected", 0) + 1
     elif kind == "msg_failed":
         cls = detail["class"]
         if cls not in FAILURE_CLASSES:
             raise ValueError(f"unknown failure class: {cls}")
         m.failed[cls] = m.failed.get(cls, 0) + 1
+        m.rows[detail["msg_id"]].update(outcome=cls, retries=detail["retries"])
     elif kind == "delivery":
         m.delivered += 1
         m.delivered_bytes += detail["bytes"]
         m.hop_counts.append(detail["hops"])
         m.latencies_us.append(detail["latency_us"])
+        m.rows[detail["msg_id"]].update(
+            outcome="delivered",
+            hops=detail["hops"],
+            latency_us=detail["latency_us"],
+            retries=detail["retries"],
+        )
     elif kind == "ctrl_sent":
         ck = detail["ctrl"]
         m.control_packets[ck] = m.control_packets.get(ck, 0) + 1
@@ -149,29 +166,4 @@ def summarize(m: Metrics) -> dict:
 
 def deliveries_from_trace(trace: list[dict]) -> list[dict]:
     """Per-message delivery rows (msg_id, src, dst, bytes, outcome, ...)."""
-    rows: dict[int, dict] = {}
-    for record in trace:
-        kind = record["kind"]
-        detail = record.get("detail") or {}
-        if kind in ("msg_send", "msg_rejected"):
-            rows[detail["msg_id"]] = {
-                "msg_id": detail["msg_id"],
-                "src": record["node"],
-                "dst": detail["dst"],
-                "bytes": detail["bytes"],
-                "outcome": "pending" if kind == "msg_send" else "rejected",
-                "hops": "",
-                "latency_us": "",
-                "retries": 0,
-            }
-        elif kind == "delivery":
-            row = rows[detail["msg_id"]]
-            row["outcome"] = "delivered"
-            row["hops"] = detail["hops"]
-            row["latency_us"] = detail["latency_us"]
-            row["retries"] = detail["retries"]
-        elif kind == "msg_failed":
-            row = rows[detail["msg_id"]]
-            row["outcome"] = detail["class"]
-            row["retries"] = detail["retries"]
-    return [rows[k] for k in sorted(rows)]
+    return list(replay(trace).rows.values())

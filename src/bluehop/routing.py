@@ -96,7 +96,7 @@ def make_advertisement(table: RoutingTable, to_neighbor: int) -> ControlMessage:
         MessageKind.ADVERTISEMENT,
         origin=owner,
         entries=tuple(
-            (dest, inf if (e.next_hop == to_neighbor and dest != owner) or e.cost > inf else e.cost)
+            (dest, inf if e.next_hop == to_neighbor and dest != owner else e.cost)
             for dest, e in sorted(table.entries.items())
         ),
     )

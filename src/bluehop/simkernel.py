@@ -161,7 +161,7 @@ class Engine:
             path = [(t, Position(x, y)) for t, x, y in spec.waypoints]
             if path and path[0][0] != 0:
                 path.insert(0, (0, start))
-            self.world[spec.id] = Node(spec.id, start, spec.range_m, spec.state, path)
+            self.world[spec.id] = Node(start, spec.range_m, spec.state, path)
         self._ids = sorted(self.world)
         self._movers = [n for n in self._ids if self.world[n].path]
         # The in-range graph, re-tested only for the pairs a change touches.
@@ -696,7 +696,7 @@ class Engine:
         self._send_ack(n, pkt)
 
     def _send_ack(self, n: int, pkt: transport.DataPacket) -> None:
-        self._forward(n, transport.Ack(msg_id=pkt.msg_id, src=n, dst=pkt.src))
+        self._forward(n, transport.Ack(msg_id=pkt.msg_id, dst=pkt.src))
 
     # ----------------------------------------------------------------- dumps
 

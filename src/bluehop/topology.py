@@ -30,7 +30,6 @@ class Position:
 
 @dataclass
 class Node:
-    id: int
     position: Position
     range_m: float
     state: NodeState = NodeState.ACTIVE

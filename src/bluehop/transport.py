@@ -103,7 +103,6 @@ class Ack:
     """End-to-end acknowledgement, emitted by the destination after reassembly."""
 
     msg_id: int
-    src: int  # the data packet's destination
     dst: int  # the data packet's source
     hops: int = 0
 

@@ -49,12 +49,42 @@ def scenarios(draw):
     })
 
 
+def ref_deliveries(trace):
+    """Reference model: the per-message rows walked straight from the trace."""
+    rows = {}
+    for record in trace:
+        kind, detail = record["kind"], record.get("detail") or {}
+        if kind in ("msg_send", "msg_rejected"):
+            rows[detail["msg_id"]] = {
+                "msg_id": detail["msg_id"],
+                "src": record["node"],
+                "dst": detail["dst"],
+                "bytes": detail["bytes"],
+                "outcome": "pending" if kind == "msg_send" else "rejected",
+                "hops": "",
+                "latency_us": "",
+                "retries": 0,
+            }
+        elif kind == "delivery":
+            rows[detail["msg_id"]].update(
+                outcome="delivered",
+                hops=detail["hops"],
+                latency_us=detail["latency_us"],
+                retries=detail["retries"],
+            )
+        elif kind == "msg_failed":
+            rows[detail["msg_id"]].update(outcome=detail["class"], retries=detail["retries"])
+    return [rows[k] for k in sorted(rows)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(scenarios(), st.integers(0, 3))
 def test_bounded_random_runs_keep_their_invariants(config, seed):
     m, trace = run_scenario(config, seed)
     assert replay(trace) == m
     rows = deliveries_from_trace(trace)
+    # The rows folded online (what `bluehop run` writes) match a direct walk.
+    assert rows == list(m.rows.values()) == ref_deliveries(trace)
     pending = {r["msg_id"] for r in rows if r["outcome"] == "pending"}
     assert m.messages_sent == len(rows) == m.delivered + m.failed_total + len(pending)
     _, again = run_scenario(config, seed)

@@ -109,6 +109,30 @@ class TestDeliveriesRows:
         assert row["retries"] >= 1
         assert row["hops"] == 2
 
+    def test_rows_follow_each_message_outcome(self):
+        trace = [
+            rec("msg_send", node=0, msg_id=0, dst=3, bytes=10, fragments=1),
+            rec("msg_rejected", node=1, msg_id=1, dst=2, bytes=4, reason="src not active"),
+            rec("msg_send", node=2, msg_id=2, dst=0, bytes=20, fragments=1),
+            rec("msg_send", node=3, msg_id=3, dst=1, bytes=30, fragments=1),
+            rec("msg_failed", node=2, msg_id=2, retries=3, **{"class": "retry-exhausted"}),
+            rec("late_delivery", node=0, msg_id=2),
+            rec("delivery", node=1, msg_id=3, src=3, bytes=30, hops=2, latency_us=812.5, retries=1),
+        ]
+        def row(msg_id, src, dst, nbytes, outcome, hops="", latency_us="", retries=0):
+            return dict(msg_id=msg_id, src=src, dst=dst, bytes=nbytes, outcome=outcome,
+                        hops=hops, latency_us=latency_us, retries=retries)
+
+        assert deliveries_from_trace(trace) == [
+            row(0, 0, 3, 10, "pending"),
+            row(1, 1, 2, 4, "rejected"),
+            row(2, 2, 0, 20, "retry-exhausted", retries=3),  # the late delivery changes nothing
+            row(3, 3, 1, 30, "delivered", hops=2, latency_us=812.5, retries=1),
+        ]
+        m = replay(trace)
+        assert list(m.rows.values()) == deliveries_from_trace(trace)
+        assert summarize(m)["pending"] == 1
+
     def test_failed_row_has_blank_hops(self):
         config = parse_scenario(scenario_path("figure4_norelay.json"))
         _, trace = run_scenario(config, 0)

@@ -16,7 +16,7 @@ from conftest import geometric_adjacency, random_positions
 
 def make_world(positions, state=NodeState.ACTIVE):
     return {
-        i: Node(i, Position(x, y), 10.0, state)
+        i: Node(Position(x, y), 10.0, state)
         for i, (x, y) in positions.items()
     }
 

@@ -8,8 +8,8 @@ from bluehop.scenario import CLASS_DEFAULT_RANGE
 from bluehop.topology import Node, NodeState, Position, apply_motion, in_range, position_at
 
 
-def make_node(nid, x, y, class_id=3, state=NodeState.ACTIVE, path=()):
-    return Node(nid, Position(x, y), CLASS_DEFAULT_RANGE[class_id], state, list(path))
+def make_node(x, y, class_id=3, state=NodeState.ACTIVE, path=()):
+    return Node(Position(x, y), CLASS_DEFAULT_RANGE[class_id], state, list(path))
 
 
 def neighbor_set(n, world):
@@ -19,22 +19,22 @@ def neighbor_set(n, world):
 
 class TestInRange:
     def test_class3_pair_within_ten_metres(self):
-        a, b = make_node(0, 0, 0), make_node(1, 8, 0)
+        a, b = make_node(0, 0), make_node(8, 0)
         assert in_range(a, b)
 
     def test_zero_distance(self):
-        a, b = make_node(0, 3, 3), make_node(1, 3, 3)
+        a, b = make_node(3, 3), make_node(3, 3)
         assert in_range(a, b)
 
     def test_bidirectional_rule_blocks_asymmetric_link(self):
         # A class-1 radio hears 50 m away, but the class-3 peer cannot reply.
-        big = make_node(0, 0, 0, class_id=1)
-        small = make_node(1, 50, 0, class_id=3)
+        big = make_node(0, 0, class_id=1)
+        small = make_node(50, 0, class_id=3)
         assert not in_range(big, small)
         assert not in_range(small, big)
 
     def test_requires_both_active(self):
-        a, b = make_node(0, 0, 0), make_node(1, 5, 0, state=NodeState.PARKED)
+        a, b = make_node(0, 0), make_node(5, 0, state=NodeState.PARKED)
         assert not in_range(a, b)
         b.state = NodeState.ACTIVE
         assert in_range(a, b)
@@ -48,61 +48,61 @@ class TestInRange:
     )
     def test_symmetric(self, coords, ca, cb):
         ax, ay, bx, by = coords
-        a = make_node(0, ax, ay, class_id=ca)
-        b = make_node(1, bx, by, class_id=cb)
+        a = make_node(ax, ay, class_id=ca)
+        b = make_node(bx, by, class_id=cb)
         assert in_range(a, b) == in_range(b, a)
 
 
 class TestNeighborSet:
     def test_single_node_has_no_peers(self):
-        world = {0: make_node(0, 0, 0)}
+        world = {0: make_node(0, 0)}
         assert neighbor_set(0, world) == set()
 
     def test_three_collinear_nodes(self):
         world = {
-            0: make_node(0, 0, 0),
-            1: make_node(1, 8, 0),
-            2: make_node(2, 16, 0),
+            0: make_node(0, 0),
+            1: make_node(8, 0),
+            2: make_node(16, 0),
         }
         assert neighbor_set(1, world) == {0, 2}
         assert neighbor_set(0, world) == {1}
 
     def test_off_node_is_invisible(self):
         world = {
-            0: make_node(0, 0, 0),
-            1: make_node(1, 8, 0, state=NodeState.OFF),
+            0: make_node(0, 0),
+            1: make_node(8, 0, state=NodeState.OFF),
         }
         assert neighbor_set(0, world) == set()
         assert neighbor_set(1, world) == set()
 
     def test_never_contains_self(self):
-        world = {i: make_node(i, i * 2.0, 0) for i in range(6)}
+        world = {i: make_node(i * 2.0, 0) for i in range(6)}
         for n in world:
             assert n not in neighbor_set(n, world)
 
     def test_unknown_node_raises(self):
         with pytest.raises(KeyError):
-            neighbor_set(9, {0: make_node(0, 0, 0)})
+            neighbor_set(9, {0: make_node(0, 0)})
 
 
 class TestMotion:
     def test_no_waypoints_never_moves(self):
-        node = make_node(0, 4, 5)
+        node = make_node(4, 5)
         for t in (0, 1, 10**9):
             assert position_at(node, t) == Position(4, 5)
 
     def test_midpoint_of_linear_segment(self):
         # 0 s at x=0, 10 s at x=20, query at 5 s.
-        node = make_node(0, 0, 0, path=[(0, Position(0, 0)), (20_000_000, Position(20, 0))])
+        node = make_node(0, 0, path=[(0, Position(0, 0)), (20_000_000, Position(20, 0))])
         assert position_at(node, 10_000_000) == Position(10, 0)
 
     def test_clamps_after_last_waypoint(self):
-        node = make_node(0, 0, 0, path=[(0, Position(0, 0)), (2_000_000, Position(6, 2))])
+        node = make_node(0, 0, path=[(0, Position(0, 0)), (2_000_000, Position(6, 2))])
         assert position_at(node, 5_000_000) == Position(6, 2)
 
     def test_matches_scalar_interpolation_oracle(self):
         node = make_node(
-            0, 0, 0, path=[(0, Position(0, 0)), (1_000_000, Position(10, -4)), (3_000_000, Position(-2, 8))]
+            0, 0, path=[(0, Position(0, 0)), (1_000_000, Position(10, -4)), (3_000_000, Position(-2, 8))]
         )
         path = [(0, (0.0, 0.0)), (1_000_000, (10.0, -4.0)), (3_000_000, (-2.0, 8.0))]
 
@@ -122,8 +122,8 @@ class TestMotion:
     def test_apply_motion_is_deterministic(self):
         def build():
             return {
-                0: make_node(0, 0, 0, path=[(0, Position(0, 0)), (1_000_000, Position(9, 9))]),
-                1: make_node(1, 5, 5),
+                0: make_node(0, 0, path=[(0, Position(0, 0)), (1_000_000, Position(9, 9))]),
+                1: make_node(5, 5),
             }
 
         w1, w2 = build(), build()
@@ -135,7 +135,7 @@ class TestMotion:
 
 class TestState:
     def test_set_state(self):
-        world = {0: make_node(0, 0, 0), 1: make_node(1, 5, 0)}
+        world = {0: make_node(0, 0), 1: make_node(5, 0)}
         world[1].state = NodeState.OFF
         assert neighbor_set(0, world) == set()
         world[1].state = NodeState.ACTIVE

@@ -135,8 +135,8 @@ class TestFirstHopChoice:
 
 class TestTypes:
     def test_ack_direction(self):
-        ack = Ack(msg_id=3, src=9, dst=1)
-        assert (ack.src, ack.dst) == (9, 1)
+        ack = Ack(msg_id=3, dst=1)
+        assert ack.dst == 1
 
     def test_pending_transfer_defaults(self):
         pt = PendingTransfer(1, 0, 9, [b"p"])
