@@ -1,9 +1,11 @@
 """Shared oracle helpers, kept independent of the code paths they check."""
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
 from collections import deque
+from pathlib import Path
 
 from bluehop.scenario import validate_scenario
 
@@ -53,3 +55,12 @@ def geometric_scenario(positions, horizon=0.5, **extra):
     }
     data.update(extra)
     return validate_scenario(data)
+
+
+def load_workloads():
+    """bench/workloads.py, imported without putting bench/ on sys.path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -5,7 +5,6 @@ from bluehop.routing import (
     INF,
     ControlMessage,
     MessageKind,
-    RouteEntry,
     forward_discovery,
     handle_withdraw,
     init_routing,
@@ -17,6 +16,7 @@ from bluehop.routing import (
 )
 
 from conftest import bfs_distances, geometric_adjacency, random_positions
+from exhaustive_routing import check_all
 
 
 def adv_of(table, to):
@@ -81,12 +81,14 @@ class TestMakeAdvertisement:
 
     def test_poisons_routes_via_receiver(self):
         table = init_routing(0, {1})
-        table.entries[2] = RouteEntry(1, 2)  # dest 2 via 1
+        news = ControlMessage(MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0), (2, 1)))
+        process_advertisement(table, 1, news)  # dest 2 via 1
         assert adv_of(table, 1)[2] == INF
 
     def test_other_routes_untouched(self):
         table = init_routing(0, {1, 3})
-        table.entries[2] = RouteEntry(3, 2)  # dest 2 via 3
+        news = ControlMessage(MessageKind.ADVERTISEMENT, origin=3, entries=((2, 1), (3, 0)))
+        process_advertisement(table, 3, news)  # dest 2 via 3
         assert adv_of(table, 1)[2] == 2
 
     def test_same_message_while_table_unchanged(self):
@@ -351,6 +353,12 @@ class TestDiscovery:
                 inbox.extend((node, m, fwd) for m in sorted(adjacency[node]) if m != sender)
 
         assert tables[0].cost_to(4) == bfs_distances(adjacency, 0)[4] == 4
+
+
+@pytest.mark.parametrize("inf", [INF, 3])
+def test_every_small_graph_reconverges_after_each_failure(inf):
+    # Every labeled graph on 2..4 nodes; CI runs 5 nodes (tests/exhaustive_routing.py).
+    assert check_all(4, inf) == 489
 
 
 class TestConvergence:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bluehop import scenario_path
-from bluehop.routing import RouteEntry
+from bluehop.routing import ControlMessage, MessageKind, process_advertisement
 from bluehop.scatternet import link_allowed
 from bluehop.scenario import parse_scenario, validate_scenario
 from bluehop.simkernel import (
@@ -274,13 +274,12 @@ class TestFailureModes:
         )
         engine = Engine(config, 0)
         engine.run(until=100_000)
-        # Poison the relay's route and wipe its learned vectors so the
-        # arriving packet finds no usable next hop.
+        # Node 2 drops itself from the vector the relay hears, which poisons
+        # the relay's route; node 0 routes 2 via the relay, so it offers none,
+        # and the arriving packet finds no usable next hop.
         relay = engine.runtimes[1]
-        relay.table.entries[2].cost = engine.inf
-        relay.table.entries[2].next_hop = None
-        relay.table.heard.clear()
-        relay.table.version += 1  # so the relay advertises the poisoned state
+        silent = ControlMessage(MessageKind.ADVERTISEMENT, origin=2, entries=())
+        assert process_advertisement(relay.table, 2, silent) is True
         engine._send_message(0, 2, 30)
         engine.run(until=140_000)
         assert engine.metrics.packet_drops.get("forward-failure", 0) >= 1
@@ -289,12 +288,11 @@ class TestFailureModes:
         config = geometric_scenario({0: (0.0, 0.0), 1: (8.0, 0.0)}, horizon=1.0)
         engine = Engine(config, 0)
         engine.run(until=100_000)
-        # Force a two-node forwarding loop toward a phantom destination.
+        # Force a two-node forwarding loop toward a phantom destination: each
+        # node hears the other offer it at cost 1.
         for n, via in ((0, 1), (1, 0)):
-            rt = engine.runtimes[n]
-            rt.table.entries[9] = RouteEntry(via, 2)
-            rt.table.heard.clear()
-            rt.table.version += 1  # so the phantom route is advertised
+            phantom = ControlMessage(MessageKind.ADVERTISEMENT, origin=via, entries=((via, 0), (9, 1)))
+            assert process_advertisement(engine.runtimes[n].table, via, phantom) is True
         engine.world[9] = Node(Position(1000.0, 1000.0), engine.world[0].range_m)
         engine._send_message(0, 9, 10)
         engine.run(until=400_000)
