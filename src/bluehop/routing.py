@@ -6,14 +6,27 @@ a regular basis, and relaxes costs Bellman-Ford style. Split horizon with
 poisoned reverse plus a hard cost cap keep count-to-infinity bounded, a
 withdraw message lets a node leave politely, and an on-demand discovery
 flood solicits ordinary advertisements when a sender lacks a route.
+
+Routing costs what changed: a table builds one cost vector per version and
+shares it across receivers, and a receiver relaxes only the destinations that
+changed since the vector it last relaxed from the same sender, as RIP
+triggered updates (RFC 2453 section 3.10.1) and DSDV incremental dumps carry
+only changed routes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Iterable
 
 INF = 16  # cost cap; entries at INF are unreachable
+# How far a table's change records reach back: the change records it keeps
+# chained through ``ChangeRecord.parent``, and the moves of ``raised`` it
+# remembers. A relaxation that would need an older record takes the full
+# pass, so memory stays proportional to table size.
+CHANGE_DEPTH = 8
 
 
 class MessageKind(Enum):
@@ -22,15 +35,63 @@ class MessageKind(Enum):
     DISCOVERY_REQUEST = "discovery_request"
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
+class ChangeRecord:
+    """The destinations whose entry changed between two vectors of one table.
+
+    ``parent`` is the record of the vector the table built before. Only
+    records chain, so a superseded vector's costs are freed as soon as no
+    message holds them.
+    """
+
+    changed: tuple[int, ...]
+    parent: ChangeRecord | None
+
+
+@dataclass(eq=False, slots=True)
+class Vector:
+    """One table version's costs, shared by the advertisements to every receiver.
+
+    Never mutated once built.
+    """
+
+    version: int
+    inf: int
+    costs: dict[int, int]
+    record: ChangeRecord
+
+
 class ControlMessage:
-    kind: MessageKind
-    origin: int
-    # Advertisement payload: (destination, cost) pairs sorted by destination.
-    entries: tuple[tuple[int, int], ...] = ()
-    # Discovery payload.
-    target: int | None = None
-    ttl: int = 0
+    """An advertisement, withdraw or discovery request.
+
+    An advertisement from make_advertisement carries its sender's shared
+    ``vector`` and the frozen set of destinations ``poisoned`` toward its
+    receiver, and builds ``entries`` only when read. One built from
+    ``entries`` carries no vector.
+    """
+
+    __slots__ = ("kind", "origin", "target", "ttl", "vector", "poisoned", "_entries")
+
+    def __init__(self, kind: MessageKind, origin: int,
+                 entries: tuple[tuple[int, int], ...] = (), target: int | None = None,
+                 ttl: int = 0):
+        self.kind = kind
+        self.origin = origin
+        self.target = target  # discovery payload
+        self.ttl = ttl
+        self.vector: Vector | None = None
+        self.poisoned: frozenset[int] = frozenset()
+        self._entries = entries
+
+    @property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        """Advertisement payload: (destination, cost) pairs sorted by destination."""
+        if self._entries is None:
+            vec, poisoned = self.vector, self.poisoned
+            self._entries = tuple(
+                sorted((d, vec.inf if d in poisoned else c) for d, c in vec.costs.items())
+            )
+        return self._entries
 
 
 @dataclass
@@ -44,25 +105,40 @@ class RoutingTable:
     """One node's routes and what its neighbours last told it.
 
     ``entries`` and ``heard`` change only through this module's functions:
-    ``version``, ``raised`` and ``relaxed_at`` count those changes, and the
-    cached advertisements and repeat relaxations rely on the counts.
+    ``version``, ``raised``, ``rises``, ``via`` and ``changed`` follow those
+    changes, and the shared vectors and the delta relaxations rely on them.
     """
 
     owner: int
     inf: int = INF
     entries: dict[int, RouteEntry] = field(default_factory=dict)
-    # Each neighbour's last advertised vector, costs capped at ``inf``.
+    # Each neighbour's last advertised vector as sent here: poisoned reverse
+    # applied, costs as advertised.
     heard: dict[int, dict[int, int]] = field(default_factory=dict)
     # (origin, target) of every discovery flood this node has joined.
     discovery_seen: set[tuple[int, int]] = field(default_factory=set)
-    # Bumped on every change to ``entries``; keys ``adverts``.
+    # Bumped on every change to ``entries``.
     version: int = 0
     # Bumped whenever an entry's cost rises or an entry is deleted.
     raised: int = 0
-    # ``raised`` as it stood when each neighbour's vector was last relaxed.
-    relaxed_at: dict[int, int] = field(default_factory=dict)
-    # Per receiver, the last advertisement built and the version it shows.
-    adverts: dict[int, tuple[int, ControlMessage]] = field(default_factory=dict)
+    # The destinations raised or deleted by each of the last moves of ``raised``.
+    rises: deque[tuple[int, ...]] = field(
+        default_factory=lambda: deque(maxlen=CHANGE_DEPTH), init=False
+    )
+    # Per neighbour: ``raised`` as it stood after its last advertisement was
+    # relaxed, with that advertisement's change record (None if built by
+    # hand) and poisoned set.
+    relaxed_at: dict[int, tuple[int, ChangeRecord | None, frozenset[int]]] = field(
+        default_factory=dict
+    )
+    # This version's advertisement per receiver; emptied when a vector is built.
+    adverts: dict[int, ControlMessage] = field(default_factory=dict)
+    # Next hop -> the destinations routed through it (the owner's entry aside).
+    via: dict[int, set[int]] = field(default_factory=dict, init=False)
+    # Destinations changed since ``vector`` was built.
+    changed: set[int] = field(default_factory=set, init=False)
+    # The last vector built; None before the first advertisement.
+    vector: Vector | None = field(default=None, init=False)
 
     def cost_to(self, dest: int) -> int:
         e = self.entries.get(dest)
@@ -77,7 +153,35 @@ def init_routing(n: int, neighbors: Iterable[int], inf: int = INF) -> RoutingTab
         if m == n:
             continue
         table.entries[m] = RouteEntry(m, 1)
+        table.via[m] = {m}
     return table
+
+
+def _build_vector(table: RoutingTable) -> Vector:
+    """The table's current costs as a new vector, its record chained to the last one's."""
+    prev, entries = table.vector, table.entries
+    if prev is None:
+        costs = {d: e.cost for d, e in entries.items()}
+        parent = None
+    else:
+        costs = prev.costs.copy()
+        for d in table.changed:
+            e = entries.get(d)
+            if e is None:
+                costs.pop(d, None)
+            else:
+                costs[d] = e.cost
+        parent = prev.record
+    record = ChangeRecord(tuple(table.changed), parent)
+    vec = table.vector = Vector(table.version, table.inf, costs, record)
+    table.changed.clear()
+    table.adverts = {}
+    for _ in range(CHANGE_DEPTH - 1):
+        if record.parent is None:
+            break
+        record = record.parent
+    record.parent = None
+    return vec
 
 
 def make_advertisement(table: RoutingTable, to_neighbor: int) -> ControlMessage:
@@ -85,22 +189,20 @@ def make_advertisement(table: RoutingTable, to_neighbor: int) -> ControlMessage:
 
     Entries whose next hop is the receiving neighbour are advertised as
     unreachable so the neighbour never routes back through the sender.
-    The message is built once per table version and receiver; while the
-    table is unchanged the same frozen message is returned.
+    One cost vector is built per table version and shared by every
+    receiver; a receiver's message adds the destinations routed via it. While
+    the table is unchanged the same message is returned.
     """
-    cached = table.adverts.get(to_neighbor)
-    if cached is not None and cached[0] == table.version:
-        return cached[1]
-    owner, inf = table.owner, table.inf
-    msg = ControlMessage(
-        MessageKind.ADVERTISEMENT,
-        origin=owner,
-        entries=tuple(
-            (dest, inf if e.next_hop == to_neighbor and dest != owner else e.cost)
-            for dest, e in sorted(table.entries.items())
-        ),
-    )
-    table.adverts[to_neighbor] = (table.version, msg)
+    vec = table.vector
+    if vec is None or vec.version != table.version:
+        vec = _build_vector(table)
+    msg = table.adverts.get(to_neighbor)
+    if msg is None:
+        msg = table.adverts[to_neighbor] = ControlMessage(
+            MessageKind.ADVERTISEMENT, table.owner, None
+        )
+        msg.vector = vec
+        msg.poisoned = frozenset(table.via.get(to_neighbor, ()))
     return msg
 
 
@@ -111,35 +213,79 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
     the current entry, or whenever the entry already routes through the
     advertiser: a route through a neighbour must track that neighbour's own
     view, including cost increases and silently dropped destinations.
-    The capped vector is kept as ``table.heard[from_]`` for next_hops.
+    The vector as sent here is kept as ``table.heard[from_]`` for next_hops.
     Returns True when any entry's (next hop, cost) changed, which obliges the
     caller to queue triggered advertisements.
 
-    A repeat vector from X costs only what changed in it. After X's vector
-    ``v`` is relaxed, every cost(d) <= min(v[d]+1, INF), every entry whose
-    next hop is X equals that candidate, and no entry via X names a
-    destination outside ``v``. Until some cost rises or an entry is deleted
-    (``table.raised`` moves), other vectors can only lower costs or move
-    entries away from X, so all three still hold when X speaks again: an
-    unchanged (d, v[d]) pair can change nothing, and only the changed pairs
-    and the vanished destinations need relaxing. Once ``raised`` has moved,
-    the whole vector is relaxed again.
+    A repeat vector from X costs only what changed. After X's vector ``v``
+    is relaxed, (a) every cost(d) <= min(v[d]+1, INF), (b) every entry whose
+    next hop is X equals that candidate, and (c) no entry via X names a
+    destination outside ``v``. Other vectors and withdraws can only lower
+    costs, move entries away from X, or raise or delete entries, and each
+    rise is named in ``table.rises``. So when X speaks again, (b) and (c)
+    still hold, and (a) holds for every destination not raised since: an
+    unchanged (d, v[d]) pair for such a destination can change nothing, so
+    re-offering one is harmless, and relaxing any superset of the changed
+    pairs, the vanished destinations and the raised destinations is exact.
+    A vector whose record chain reaches back to the one last relaxed from X
+    names such a superset: the destinations in ``changed`` along the chain,
+    whose cost or next hop moved in between; the difference of the two
+    poisoned sets; and the destinations raised here since, while
+    ``table.rises`` reaches back that far. The same vector with the same
+    poisoned set, nothing raised since, changes nothing. Anything else (first
+    contact, a hand-built vector, records that no longer reach back) takes
+    the full pass.
     """
     if adv.kind is not MessageKind.ADVERTISEMENT:
         raise ValueError(f"not an advertisement: {adv.kind}")
-    owner, inf, entries = table.owner, table.inf, table.entries
-    advertised = {d: c if c < inf else inf for d, c in adv.entries}
-    prev = table.heard.get(from_)
-    table.heard[from_] = advertised
-    if prev is not None and table.relaxed_at.get(from_) == table.raised:
-        if advertised == prev:
+    owner, inf, entries, via = table.owner, table.inf, table.entries, table.via
+    vec, poisoned = adv.vector, adv.poisoned
+    last = table.relaxed_at.get(from_)
+    view = table.heard.get(from_)
+    offers = None
+    if vec is not None and last is not None and last[1] is not None and view is not None:
+        raised_then, seen, seen_poisoned = last
+        behind = table.raised - raised_then
+        record = vec.record
+        if behind == 0 and record is seen and poisoned == seen_poisoned:
             return False
-        offers = sorted(advertised.items() - prev.items())
-        vanished = prev.keys() - advertised.keys()
-    else:
-        offers = advertised.items()
-        vanished = entries.keys() - advertised.keys()
-    changed = rose = False
+        if behind <= len(table.rises):
+            dests = set(poisoned)
+            dests ^= seen_poisoned
+            if behind:
+                for risen in islice(reversed(table.rises), behind):
+                    dests.update(risen)
+            while record is not seen and record is not None:
+                dests.update(record.changed)
+                record = record.parent
+            if record is seen:
+                costs = vec.costs
+                offers, vanished = [], []
+                for d in dests:
+                    c = inf if d in poisoned else costs.get(d)
+                    if c is None:
+                        view.pop(d, None)
+                        vanished.append(d)
+                    else:
+                        view[d] = c
+                        offers.append((d, c))
+    mine = via.get(from_)
+    if mine is None:
+        mine = via[from_] = set()
+    if offers is None:
+        if vec is None:
+            view = dict(adv.entries)
+        else:
+            view = vec.costs.copy()
+            for d in poisoned:
+                view[d] = inf
+        table.heard[from_] = view
+        offers = view.items()
+        # Only an entry routed via the advertiser can vanish with its vector.
+        vanished = [d for d in mine if d not in view]
+    changed_dests = table.changed
+    changed = False
+    risen = []
     for dest, cost in offers:
         if dest == owner:
             continue  # the self-entry is permanent
@@ -148,16 +294,24 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
         if entry is None:
             if candidate < inf:
                 entries[dest] = RouteEntry(from_, candidate)
+                mine.add(dest)
+                changed_dests.add(dest)
                 changed = True
         elif candidate < entry.cost:
-            entry.next_hop = from_
+            if entry.next_hop != from_:
+                if entry.next_hop is not None:
+                    via[entry.next_hop].discard(dest)
+                entry.next_hop = from_
+                mine.add(dest)
             entry.cost = candidate
+            changed_dests.add(dest)
             changed = True
         elif entry.next_hop == from_ and candidate != entry.cost:
             entry.cost = candidate  # a rise: lower candidates took the branch above
             if candidate >= inf:
                 entry.next_hop = None
-            rose = True
+                mine.discard(dest)
+            risen.append(dest)
     # Destinations we route via the advertiser but which it no longer knows
     # are gone from its vector entirely; poison them.
     for dest in vanished:
@@ -165,13 +319,21 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
         if entry is not None and entry.next_hop == from_ and dest != owner and entry.cost < inf:
             entry.cost = inf
             entry.next_hop = None
-            rose = True
-    if rose:
-        table.raised += 1
-    if changed or rose:
+            mine.discard(dest)
+            risen.append(dest)
+    if risen:
+        _note_rises(table, risen)
+    if changed or risen:
         table.version += 1
-    table.relaxed_at[from_] = table.raised
-    return changed or rose
+    table.relaxed_at[from_] = (table.raised, None if vec is None else vec.record, poisoned)
+    return changed or bool(risen)
+
+
+def _note_rises(table: RoutingTable, risen: list[int]) -> None:
+    """Record one move of ``raised``: the destinations it raised or deleted."""
+    table.raised += 1
+    table.rises.append(tuple(risen))
+    table.changed.update(risen)
 
 
 def handle_withdraw(table: RoutingTable, leaving: int) -> bool:
@@ -183,19 +345,24 @@ def handle_withdraw(table: RoutingTable, leaving: int) -> bool:
     """
     table.heard.pop(leaving, None)
     table.relaxed_at.pop(leaving, None)
-    changed = False
-    if leaving in table.entries and leaving != table.owner:
-        del table.entries[leaving]
-        changed = True
-    for dest, entry in table.entries.items():
-        if entry.next_hop == leaving and dest != table.owner:
-            entry.cost = table.inf
-            entry.next_hop = None
-            changed = True
-    if changed:
-        table.raised += 1
-        table.version += 1
-    return changed
+    entries = table.entries
+    risen = []
+    entry = entries.get(leaving)
+    if entry is not None and leaving != table.owner:
+        del entries[leaving]
+        if entry.next_hop is not None:
+            table.via[entry.next_hop].discard(leaving)
+        risen.append(leaving)
+    for dest in table.via.pop(leaving, ()):
+        entry = entries[dest]
+        entry.cost = table.inf
+        entry.next_hop = None
+        risen.append(dest)
+    if not risen:
+        return False
+    _note_rises(table, risen)
+    table.version += 1
+    return True
 
 
 def next_hops(table: RoutingTable, dest: int, links: tuple[int, ...]) -> list[int]:
@@ -247,4 +414,4 @@ def forward_discovery(table: RoutingTable, msg: ControlMessage) -> ControlMessag
     if key in table.discovery_seen or msg.ttl <= 1 or table.owner == msg.target:
         return None
     table.discovery_seen.add(key)
-    return replace(msg, ttl=msg.ttl - 1)
+    return ControlMessage(msg.kind, msg.origin, target=msg.target, ttl=msg.ttl - 1)

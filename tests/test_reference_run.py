@@ -40,7 +40,7 @@ def all_reference():
 
     def make_from_table(table, to_neighbor):
         used["make"] += 1
-        table.adverts.clear()
+        table.vector = None
         return make(table, to_neighbor)
 
     def process_full_pass(table, from_, adv):

@@ -1,10 +1,18 @@
+import gc
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bluehop.routing import (
+    CHANGE_DEPTH,
     INF,
+    ChangeRecord,
     ControlMessage,
     MessageKind,
+    RouteEntry,
+    RoutingTable,
+    Vector,
     forward_discovery,
     handle_withdraw,
     init_routing,
@@ -171,6 +179,24 @@ class TestProcessAdvertisement:
         assert (table.entries[3].next_hop, table.cost_to(3)) == (1, 6)
         assert process_advertisement(table, 2, via_2) is True
         assert (table.entries[3].next_hop, table.cost_to(3)) == (2, 3)
+
+    @pytest.mark.parametrize("other_rises", [0, 1, CHANGE_DEPTH - 1, CHANGE_DEPTH, 3 * CHANGE_DEPTH])
+    def test_repeated_vector_relaxes_after_many_rises(self, other_rises):
+        # 0 routes to 5 via 1 at cost 1; node 2's real vector offers cost 2
+        # and loses. When 1's cost rises, 2's unchanged vector must win 5 back,
+        # however many other rises came in between.
+        table, two = init_routing(0, {1, 2}), init_routing(2, {0, 5})
+        near = ControlMessage(MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0), (5, 0)))
+        far = ControlMessage(MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0), (5, 9)))
+        assert process_advertisement(table, 1, near) is True
+        adv = make_advertisement(two, 0)
+        assert process_advertisement(table, 2, adv) is False
+        assert process_advertisement(table, 1, far) is True
+        for k in range(2 * other_rises):
+            flip = ControlMessage(MessageKind.ADVERTISEMENT, origin=7, entries=((7, 0), (8, k % 2)))
+            assert process_advertisement(table, 7, flip) is True
+        assert process_advertisement(table, 2, adv) is True
+        assert (table.entries[5].next_hop, table.cost_to(5)) == (2, 2)
 
     def test_self_entry_is_permanent(self):
         table = init_routing(0, {1})
@@ -484,3 +510,123 @@ def test_incremental_relaxation_matches_full_pass(data):
         for m in range(n):
             if m != b:
                 assert make_advertisement(tables[b], m).entries == ref_advertisement(refs[b], b, inf, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_delta_relaxation_matches_full_pass(data):
+    """Real advertisements across many versions: repeated, stale, skipped and overflowing.
+
+    Tables change in bursts between deliveries, so receivers see vectors
+    several versions apart and raise their own entries many times between
+    two vectors from one sender, sometimes more than the change records reach
+    back; withdraws and hand-made vectors move ``raised`` in between.
+    """
+    n = data.draw(st.integers(2, 6), label="nodes")
+    inf = data.draw(st.sampled_from([INF, 4]), label="inf")
+    edges = data.draw(
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])),
+        label="edges",
+    )
+    adjacency = {i: set() for i in range(n)}
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    pairs = sorted((a, b) for a in adjacency for b in adjacency[a])
+    pairs = pairs or [(a, b) for a in range(n) for b in range(n) if a != b]
+    # A few busy links, so that most deliveries repeat a link.
+    pairs = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True))
+    tables = {i: init_routing(i, adjacency[i], inf) for i in range(n)}
+    refs = {i: ref_init(i, adjacency[i]) for i in range(n)}
+    sent = {}  # (sender, receiver) -> every real advertisement built for that link
+    costs = st.integers(0, inf)
+
+    def deliver(a, b, adv):
+        want = ref_process(refs[b], b, inf, a, adv.entries)
+        assert process_advertisement(tables[b], a, adv) == want
+
+    for _ in range(data.draw(st.integers(1, 40), label="steps")):
+        step = data.draw(
+            st.sampled_from(
+                ["send", "send", "send", "repeat", "stale", "burst", "made", "misaddressed", "withdraw"]
+            )
+        )
+        a, b = data.draw(st.sampled_from(pairs))
+        history = sent.setdefault((a, b), [])
+        if step == "send" or (step in ("repeat", "stale") and not history):
+            adv = make_advertisement(tables[a], b)
+            assert adv.entries == ref_advertisement(refs[a], a, inf, b)
+            history.append(adv)
+            deliver(a, b, adv)
+        elif step == "repeat":
+            deliver(a, b, history[-1])
+        elif step == "stale":
+            deliver(a, b, data.draw(st.sampled_from(history)))
+        elif step == "burst":
+            # One end of the link hears a neighbour n outside the graph offer a
+            # destination cheaply, then dearly, first some d and then n + 1
+            # over and over: a rise every other time, up to three times the
+            # record depth in a row. It sometimes advertises to the other end
+            # in between, undelivered.
+            at, other = data.draw(st.sampled_from([(a, b), (b, a)]))
+            d = data.draw(st.integers(0, n + 1))
+            lo = data.draw(st.integers(0, inf - 2))
+            hi = data.draw(st.integers(lo + 1, inf))
+            length = data.draw(st.integers(1, 3 * CHANGE_DEPTH))
+            builds = data.draw(st.lists(st.booleans(), min_size=length, max_size=length))
+            for k, build in enumerate(builds):
+                entries = ((n, 0), (d if k < 2 else n + 1, hi if k % 2 else lo))
+                want = ref_process(refs[at], at, inf, n, entries)
+                adv = ControlMessage(MessageKind.ADVERTISEMENT, origin=n, entries=tuple(sorted(entries)))
+                assert process_advertisement(tables[at], n, adv) == want
+                if build:
+                    built = make_advertisement(tables[at], other)
+                    assert built.entries == ref_advertisement(refs[at], at, inf, other)
+            b = at
+        elif step == "made":
+            made = data.draw(st.dictionaries(st.integers(0, n), costs, max_size=n + 1))
+            entries = tuple(sorted(made.items()))
+            deliver(a, b, ControlMessage(MessageKind.ADVERTISEMENT, origin=a, entries=entries))
+        elif step == "misaddressed":
+            # A vector poisoned for another receiver: same costs, other poisoned set.
+            other = data.draw(st.sampled_from([m for m in range(n + 1) if m != a]))
+            deliver(a, b, make_advertisement(tables[a], other))
+        else:
+            assert handle_withdraw(tables[b], a) == ref_withdraw(refs[b], b, inf, a)
+        got = {d: (e.next_hop, e.cost) for d, e in tables[b].entries.items()}
+        assert got == refs[b]
+        if data.draw(st.booleans(), label="check every advertisement"):
+            for m in range(n):
+                if m != b:
+                    assert make_advertisement(tables[b], m).entries == ref_advertisement(refs[b], b, inf, m)
+
+
+def _reachable(root, kind):
+    """How many ``kind`` objects ``root`` keeps alive through routing state and containers."""
+    walk = (dict, list, tuple, set, frozenset, deque, RoutingTable, RouteEntry, ControlMessage,
+            Vector, ChangeRecord)
+    seen, stack, found = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or type(obj) not in walk:
+            continue
+        seen.add(id(obj))
+        found += isinstance(obj, kind)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_change_records_reach_back_no_further_than_their_depth():
+    sender, receiver = init_routing(0, {1, 2}), init_routing(1, {0})
+    for k in range(1000):
+        # Node 2's cost to 5 alternates, so every step changes the sender's
+        # table, and every other step raises an entry.
+        news = ControlMessage(MessageKind.ADVERTISEMENT, origin=2, entries=((2, 0), (5, 1 + k % 2)))
+        assert process_advertisement(sender, 2, news) is True
+        process_advertisement(receiver, 0, make_advertisement(sender, 1))
+        assert receiver.cost_to(5) == sender.cost_to(5) + 1
+    assert len(sender.rises) == CHANGE_DEPTH
+    assert _reachable(sender, ChangeRecord) == CHANGE_DEPTH
+    assert _reachable(sender, Vector) == 1
+    assert _reachable(receiver, ChangeRecord) <= CHANGE_DEPTH
+    assert _reachable(receiver, Vector) == 0
