@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import islice
 from typing import Iterable
 
@@ -123,7 +124,7 @@ class RoutingTable:
     raised: int = 0
     # The destinations raised or deleted by each of the last moves of ``raised``.
     rises: deque[tuple[int, ...]] = field(
-        default_factory=lambda: deque(maxlen=CHANGE_DEPTH), init=False
+        default_factory=partial(deque, (), CHANGE_DEPTH), init=False
     )
     # Per neighbour: ``raised`` as it stood after its last advertisement was
     # relaxed, with that advertisement's change record (None if built by
@@ -148,12 +149,12 @@ class RoutingTable:
 def init_routing(n: int, neighbors: Iterable[int], inf: int = INF) -> RoutingTable:
     """Fresh table for a node that just started: itself plus each neighbour at cost 1."""
     table = RoutingTable(owner=n, inf=inf)
-    table.entries[n] = RouteEntry(n, 0)
+    entries, via = table.entries, table.via
+    entries[n] = RouteEntry(n, 0)
     for m in sorted(neighbors):
-        if m == n:
-            continue
-        table.entries[m] = RouteEntry(m, 1)
-        table.via[m] = {m}
+        if m != n:
+            entries[m] = RouteEntry(m, 1)
+            via[m] = {m}
     return table
 
 
