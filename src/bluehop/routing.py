@@ -7,7 +7,7 @@ poisoned reverse plus a hard cost cap keep count-to-infinity bounded, a
 withdraw message lets a node leave politely, and an on-demand discovery
 flood solicits ordinary advertisements when a sender lacks a route.
 
-Routing costs what changed: a table builds one cost vector per version and
+Routing costs what changed: a table builds one cost vector per change and
 shares it across receivers, and a receiver relaxes only the destinations that
 changed since the vector it last relaxed from the same sender, as RIP
 triggered updates (RFC 2453 section 3.10.1) and DSDV incremental dumps carry
@@ -15,18 +15,14 @@ only changed routes.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from itertools import islice
 from typing import Iterable
 
 INF = 16  # cost cap; entries at INF are unreachable
-# How far a table's change records reach back: the change records it keeps
-# chained through ``ChangeRecord.parent``, and the moves of ``raised`` it
-# remembers. A relaxation that would need an older record takes the full
-# pass, so memory stays proportional to table size.
+# How many records a chain of ``ChangeRecord``s keeps. A relaxation that would
+# need an older record takes the full pass, so memory stays proportional to
+# table size.
 CHANGE_DEPTH = 8
 
 
@@ -38,25 +34,55 @@ class MessageKind(Enum):
 
 @dataclass(eq=False, slots=True)
 class ChangeRecord:
-    """The destinations whose entry changed between two vectors of one table.
+    """The destinations that one step of a table changed.
 
-    ``parent`` is the record of the vector the table built before. Only
-    records chain, so a superseded vector's costs are freed as soon as no
-    message holds them.
+    A table keeps two chains of them: one record per vector built, naming the
+    entries changed since the vector before, and one per rise, naming the
+    entries raised or deleted. ``parent`` is the step before. Only records
+    chain, so a superseded vector's costs are freed as soon as no message
+    holds them.
     """
 
     changed: tuple[int, ...]
     parent: ChangeRecord | None
 
 
+# Where every table's rise chain starts. Never cut, so it is reachable from a
+# chain only while none of that chain's records has been cut away.
+_NO_RISES = ChangeRecord((), None)
+
+
+def _push(head: ChangeRecord | None, changed: Iterable[int]) -> ChangeRecord:
+    """A record of ``changed`` on top of ``head``, its chain cut to CHANGE_DEPTH records."""
+    top = record = ChangeRecord(tuple(changed), head)
+    for _ in range(CHANGE_DEPTH - 1):
+        record = record.parent
+        if record is None or record.parent is None:
+            return top
+    record.parent = None
+    return top
+
+
+def _since(head: ChangeRecord | None, seen: ChangeRecord, dests: set[int]) -> bool:
+    """Add what the records from ``head`` back to ``seen`` changed to ``dests``.
+
+    False when the chain was cut before it reached ``seen``.
+    """
+    while head is not seen:
+        if head is None:
+            return False
+        dests.update(head.changed)
+        head = head.parent
+    return True
+
+
 @dataclass(eq=False, slots=True)
 class Vector:
-    """One table version's costs, shared by the advertisements to every receiver.
+    """One table state's costs, shared by the advertisements to every receiver.
 
     Never mutated once built.
     """
 
-    version: int
     inf: int
     costs: dict[int, int]
     record: ChangeRecord
@@ -67,14 +93,12 @@ class ControlMessage:
 
     An advertisement from make_advertisement carries its sender's shared
     ``vector`` and the frozen set of destinations ``poisoned`` toward its
-    receiver, and builds ``entries`` only when read. One built from
-    ``entries`` carries no vector.
+    receiver, and builds ``entries`` only when read.
     """
 
     __slots__ = ("kind", "origin", "target", "ttl", "vector", "poisoned", "_entries")
 
-    def __init__(self, kind: MessageKind, origin: int,
-                 entries: tuple[tuple[int, int], ...] = (), target: int | None = None,
+    def __init__(self, kind: MessageKind, origin: int, target: int | None = None,
                  ttl: int = 0):
         self.kind = kind
         self.origin = origin
@@ -82,7 +106,7 @@ class ControlMessage:
         self.ttl = ttl
         self.vector: Vector | None = None
         self.poisoned: frozenset[int] = frozenset()
-        self._entries = entries
+        self._entries: tuple[tuple[int, int], ...] | None = None
 
     @property
     def entries(self) -> tuple[tuple[int, int], ...]:
@@ -106,37 +130,30 @@ class RoutingTable:
     """One node's routes and what its neighbours last told it.
 
     ``entries`` and ``heard`` change only through this module's functions:
-    ``version``, ``raised``, ``rises``, ``via`` and ``changed`` follow those
-    changes, and the shared vectors and the delta relaxations rely on them.
+    ``changed``, ``risen`` and ``via`` follow those changes, and the shared
+    vectors and the delta relaxations rely on them.
     """
 
     owner: int
     inf: int = INF
-    entries: dict[int, RouteEntry] = field(default_factory=dict)
+    entries: dict[int, RouteEntry] = field(default_factory=dict, init=False)
     # Each neighbour's last advertised vector as sent here: poisoned reverse
     # applied, costs as advertised.
-    heard: dict[int, dict[int, int]] = field(default_factory=dict)
+    heard: dict[int, dict[int, int]] = field(default_factory=dict, init=False)
     # (origin, target) of every discovery flood this node has joined.
-    discovery_seen: set[tuple[int, int]] = field(default_factory=set)
-    # Bumped on every change to ``entries``.
-    version: int = 0
-    # Bumped whenever an entry's cost rises or an entry is deleted.
-    raised: int = 0
-    # The destinations raised or deleted by each of the last moves of ``raised``.
-    rises: deque[tuple[int, ...]] = field(
-        default_factory=partial(deque, (), CHANGE_DEPTH), init=False
+    discovery_seen: set[tuple[int, int]] = field(default_factory=set, init=False)
+    # Head of the rise chain: the last rise's record.
+    risen: ChangeRecord = field(default=_NO_RISES, init=False)
+    # Per neighbour: ``risen`` as it stood after its last advertisement was
+    # relaxed, with that advertisement's vector record and poisoned set.
+    relaxed_at: dict[int, tuple[ChangeRecord, ChangeRecord, frozenset[int]]] = field(
+        default_factory=dict, init=False
     )
-    # Per neighbour: ``raised`` as it stood after its last advertisement was
-    # relaxed, with that advertisement's change record (None if built by
-    # hand) and poisoned set.
-    relaxed_at: dict[int, tuple[int, ChangeRecord | None, frozenset[int]]] = field(
-        default_factory=dict
-    )
-    # This version's advertisement per receiver; emptied when a vector is built.
-    adverts: dict[int, ControlMessage] = field(default_factory=dict)
+    # The current vector's advertisement per receiver; emptied when a vector is built.
+    adverts: dict[int, ControlMessage] = field(default_factory=dict, init=False)
     # Next hop -> the destinations routed through it (the owner's entry aside).
     via: dict[int, set[int]] = field(default_factory=dict, init=False)
-    # Destinations changed since ``vector`` was built.
+    # Destinations changed since ``vector`` was built; ``vector`` is current while empty.
     changed: set[int] = field(default_factory=set, init=False)
     # The last vector built; None before the first advertisement.
     vector: Vector | None = field(default=None, init=False)
@@ -173,15 +190,9 @@ def _build_vector(table: RoutingTable) -> Vector:
             else:
                 costs[d] = e.cost
         parent = prev.record
-    record = ChangeRecord(tuple(table.changed), parent)
-    vec = table.vector = Vector(table.version, table.inf, costs, record)
+    vec = table.vector = Vector(table.inf, costs, _push(parent, table.changed))
     table.changed.clear()
     table.adverts = {}
-    for _ in range(CHANGE_DEPTH - 1):
-        if record.parent is None:
-            break
-        record = record.parent
-    record.parent = None
     return vec
 
 
@@ -190,18 +201,16 @@ def make_advertisement(table: RoutingTable, to_neighbor: int) -> ControlMessage:
 
     Entries whose next hop is the receiving neighbour are advertised as
     unreachable so the neighbour never routes back through the sender.
-    One cost vector is built per table version and shared by every
+    One cost vector is built per table change and shared by every
     receiver; a receiver's message adds the destinations routed via it. While
     the table is unchanged the same message is returned.
     """
     vec = table.vector
-    if vec is None or vec.version != table.version:
+    if vec is None or table.changed:
         vec = _build_vector(table)
     msg = table.adverts.get(to_neighbor)
     if msg is None:
-        msg = table.adverts[to_neighbor] = ControlMessage(
-            MessageKind.ADVERTISEMENT, table.owner, None
-        )
+        msg = table.adverts[to_neighbor] = ControlMessage(MessageKind.ADVERTISEMENT, table.owner)
         msg.vector = vec
         msg.poisoned = frozenset(table.via.get(to_neighbor, ()))
     return msg
@@ -223,19 +232,19 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
     next hop is X equals that candidate, and (c) no entry via X names a
     destination outside ``v``. Other vectors and withdraws can only lower
     costs, move entries away from X, or raise or delete entries, and each
-    rise is named in ``table.rises``. So when X speaks again, (b) and (c)
-    still hold, and (a) holds for every destination not raised since: an
-    unchanged (d, v[d]) pair for such a destination can change nothing, so
-    re-offering one is harmless, and relaxing any superset of the changed
-    pairs, the vanished destinations and the raised destinations is exact.
-    A vector whose record chain reaches back to the one last relaxed from X
-    names such a superset: the destinations in ``changed`` along the chain,
+    rise pushes a record naming what it raised onto ``table.risen``. So when
+    X speaks again, (b) and (c) still hold, and (a) holds for every
+    destination not raised since: an unchanged (d, v[d]) pair for such a
+    destination can change nothing, so re-offering one is harmless, and
+    relaxing any superset of the changed pairs, the vanished destinations and
+    the raised destinations is exact. ``relaxed_at[X]`` keeps the head of
+    each chain as that relaxation left it: the rise record and the record of
+    ``v``. While both chains still reach back to them, they name such a
+    superset: the destinations in the vector records newer than ``v``'s,
     whose cost or next hop moved in between; the difference of the two
-    poisoned sets; and the destinations raised here since, while
-    ``table.rises`` reaches back that far. The same vector with the same
-    poisoned set, nothing raised since, changes nothing. Anything else (first
-    contact, a hand-built vector, records that no longer reach back) takes
-    the full pass.
+    poisoned sets; and the destinations in the rise records since. The same
+    two heads with the same poisoned set change nothing. Anything else (first contact,
+    or a chain cut before it reaches back) takes the full pass.
     """
     if adv.kind is not MessageKind.ADVERTISEMENT:
         raise ValueError(f"not an advertisement: {adv.kind}")
@@ -244,42 +253,30 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
     last = table.relaxed_at.get(from_)
     view = table.heard.get(from_)
     offers = None
-    if vec is not None and last is not None and last[1] is not None and view is not None:
-        raised_then, seen, seen_poisoned = last
-        behind = table.raised - raised_then
-        record = vec.record
-        if behind == 0 and record is seen and poisoned == seen_poisoned:
+    if last is not None and view is not None:
+        risen_then, seen, seen_poisoned = last
+        if risen_then is table.risen and seen is vec.record and poisoned == seen_poisoned:
             return False
-        if behind <= len(table.rises):
-            dests = set(poisoned)
-            dests ^= seen_poisoned
-            if behind:
-                for risen in islice(reversed(table.rises), behind):
-                    dests.update(risen)
-            while record is not seen and record is not None:
-                dests.update(record.changed)
-                record = record.parent
-            if record is seen:
-                costs = vec.costs
-                offers, vanished = [], []
-                for d in dests:
-                    c = inf if d in poisoned else costs.get(d)
-                    if c is None:
-                        view.pop(d, None)
-                        vanished.append(d)
-                    else:
-                        view[d] = c
-                        offers.append((d, c))
+        dests = set(poisoned)
+        dests ^= seen_poisoned
+        if _since(table.risen, risen_then, dests) and _since(vec.record, seen, dests):
+            costs = vec.costs
+            offers, vanished = [], []
+            for d in dests:
+                c = inf if d in poisoned else costs.get(d)
+                if c is None:
+                    view.pop(d, None)
+                    vanished.append(d)
+                else:
+                    view[d] = c
+                    offers.append((d, c))
     mine = via.get(from_)
     if mine is None:
         mine = via[from_] = set()
     if offers is None:
-        if vec is None:
-            view = dict(adv.entries)
-        else:
-            view = vec.costs.copy()
-            for d in poisoned:
-                view[d] = inf
+        view = vec.costs.copy()
+        for d in poisoned:
+            view[d] = inf
         table.heard[from_] = view
         offers = view.items()
         # Only an entry routed via the advertiser can vanish with its vector.
@@ -323,17 +320,14 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
             mine.discard(dest)
             risen.append(dest)
     if risen:
-        _note_rises(table, risen)
-    if changed or risen:
-        table.version += 1
-    table.relaxed_at[from_] = (table.raised, None if vec is None else vec.record, poisoned)
+        _note_rise(table, risen)
+    table.relaxed_at[from_] = (table.risen, vec.record, poisoned)
     return changed or bool(risen)
 
 
-def _note_rises(table: RoutingTable, risen: list[int]) -> None:
-    """Record one move of ``raised``: the destinations it raised or deleted."""
-    table.raised += 1
-    table.rises.append(tuple(risen))
+def _note_rise(table: RoutingTable, risen: list[int]) -> None:
+    """Record one rise: the destinations it raised or deleted."""
+    table.risen = _push(table.risen, risen)
     table.changed.update(risen)
 
 
@@ -361,8 +355,7 @@ def handle_withdraw(table: RoutingTable, leaving: int) -> bool:
         risen.append(dest)
     if not risen:
         return False
-    _note_rises(table, risen)
-    table.version += 1
+    _note_rise(table, risen)
     return True
 
 

@@ -7,18 +7,13 @@ heuristic and is fully deterministic for a given graph.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .topology import Node, in_range
 
 MAX_ACTIVE_SLAVES = 7
-
-
-class Role(Enum):
-    MASTER = "master"
-    ACTIVE_SLAVE = "active_slave"
-    PARKED_SLAVE = "parked_slave"
 
 
 class LinkMode(Enum):
@@ -37,17 +32,18 @@ class Piconet:
 @dataclass
 class Scatternet:
     piconets: list[Piconet] = field(default_factory=list)
-    # node -> {piconet id -> Role}
-    memberships: dict[int, dict[int, Role]] = field(default_factory=dict)
     # (a, b) -> (piconet id, transmit parity for ``a``), built at formation
     links: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
 
     @property
     def bridge_nodes(self) -> set[int]:
-        return {n for n, roles in self.memberships.items() if len(roles) >= 2}
-
-    def roles_of(self, n: int) -> dict[int, Role]:
-        return self.memberships.get(n, {})
+        """Nodes holding a role in two or more piconets."""
+        roles = Counter()
+        for p in self.piconets:
+            roles[p.master] += 1
+            roles.update(p.active_slaves)
+            roles.update(p.parked_slaves)
+        return {n for n, held in roles.items() if held >= 2}
 
     def link_piconet(self, a: int, b: int) -> tuple[int, int] | None:
         """Shared piconet carrying a usable a<->b link, if any.
@@ -74,32 +70,22 @@ def form_scatternet(adjacency: dict[int, set[int]]) -> Scatternet:
     order = sorted(adjacency, key=lambda n: (-len(adjacency[n]), n))
     net = Scatternet()
     assigned: set[int] = set()
-
-    def grant(pico: Piconet, n: int, role: Role) -> None:
-        net.memberships.setdefault(n, {})[pico.id] = role
-        assigned.add(n)
-        if role is Role.ACTIVE_SLAVE:
-            pico.active_slaves.append(n)
-        elif role is Role.PARKED_SLAVE:
-            pico.parked_slaves.append(n)
-
     for n in order:
         if n in assigned:
             continue
         pico = Piconet(id=len(net.piconets), master=n)
         net.piconets.append(pico)
-        net.memberships.setdefault(n, {})[pico.id] = Role.MASTER
         assigned.add(n)
-        unclaimed = [m for m in sorted(adjacency[n]) if m not in assigned]
-        for m in unclaimed:
-            if len(pico.active_slaves) < MAX_ACTIVE_SLAVES:
-                grant(pico, m, Role.ACTIVE_SLAVE)
-            else:
-                grant(pico, m, Role.PARKED_SLAVE)
+        bridging = []
         for m in sorted(adjacency[n]):
-            if m in net.memberships and pico.id not in net.memberships[m]:
-                if len(pico.active_slaves) < MAX_ACTIVE_SLAVES:
-                    grant(pico, m, Role.ACTIVE_SLAVE)
+            if m in assigned:
+                bridging.append(m)
+            elif len(pico.active_slaves) < MAX_ACTIVE_SLAVES:
+                pico.active_slaves.append(m)
+            else:
+                pico.parked_slaves.append(m)
+        assigned.update(adjacency[n])
+        pico.active_slaves += bridging[:MAX_ACTIVE_SLAVES - len(pico.active_slaves)]
     for pico in net.piconets:
         for m in pico.active_slaves:
             net.links.setdefault((pico.master, m), (pico.id, 0))

@@ -266,16 +266,18 @@ class Engine:
         return self._links.get(n, ())
 
     def _scatternet_broken(self) -> bool:
+        placed = set()
         for pico in self.net.piconets:
             if self.world[pico.master].state is not NodeState.ACTIVE:
                 return True
             heard = self.near[pico.master]
+            placed.add(pico.master)
             for member in pico.active_slaves + pico.parked_slaves:
                 if self.world[member].state is NodeState.ACTIVE and member not in heard:
                     return True
+                placed.add(member)
         return any(
-            node.state is NodeState.ACTIVE and not self.net.roles_of(n)
-            for n, node in self.world.items()
+            node.state is NodeState.ACTIVE and n not in placed for n, node in self.world.items()
         )
 
     def _hop_sequence(self, master: int) -> baseband.HopSequence:

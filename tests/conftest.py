@@ -7,6 +7,7 @@ import random
 from collections import deque
 from pathlib import Path
 
+from bluehop.routing import INF, ChangeRecord, ControlMessage, MessageKind, Vector
 from bluehop.scenario import validate_scenario
 
 
@@ -21,6 +22,18 @@ def bfs_distances(adjacency: dict[int, set[int]], src: int) -> dict[int, int]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def advert(origin: int, entries) -> ControlMessage:
+    """An advertisement from ``origin`` carrying any (destination, cost) pairs.
+
+    Its vector's record has no parent, so the next different vector from
+    ``origin`` takes the full relaxation pass, as one that reaches back no
+    further would.
+    """
+    msg = ControlMessage(MessageKind.ADVERTISEMENT, origin)
+    msg.vector = Vector(INF, dict(entries), ChangeRecord((), None))
+    return msg
 
 
 def geometric_adjacency(

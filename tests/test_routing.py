@@ -1,5 +1,4 @@
 import gc
-from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +22,7 @@ from bluehop.routing import (
     trigger_discovery,
 )
 
-from conftest import bfs_distances, geometric_adjacency, random_positions
+from conftest import advert, bfs_distances, geometric_adjacency, random_positions
 from exhaustive_routing import check_all
 
 
@@ -89,13 +88,13 @@ class TestMakeAdvertisement:
 
     def test_poisons_routes_via_receiver(self):
         table = init_routing(0, {1})
-        news = ControlMessage(MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0), (2, 1)))
+        news = advert(1, ((1, 0), (2, 1)))
         process_advertisement(table, 1, news)  # dest 2 via 1
         assert adv_of(table, 1)[2] == INF
 
     def test_other_routes_untouched(self):
         table = init_routing(0, {1, 3})
-        news = ControlMessage(MessageKind.ADVERTISEMENT, origin=3, entries=((2, 1), (3, 0)))
+        news = advert(3, ((2, 1), (3, 0)))
         process_advertisement(table, 3, news)  # dest 2 via 3
         assert adv_of(table, 1)[2] == 2
 
@@ -104,14 +103,14 @@ class TestMakeAdvertisement:
         msg = make_advertisement(table, 1)
         assert make_advertisement(table, 1) is msg
         assert make_advertisement(table, 2) is not msg  # one per receiver
-        quiet = ControlMessage(MessageKind.ADVERTISEMENT, origin=2, entries=((0, 1), (2, 0)))
+        quiet = advert(2, ((0, 1), (2, 0)))
         assert process_advertisement(table, 2, quiet) is False
         assert make_advertisement(table, 1) is msg
 
     def test_cache_invalidated_by_process_advertisement(self):
         table = init_routing(0, {1, 2})
         before = make_advertisement(table, 1)
-        news = ControlMessage(MessageKind.ADVERTISEMENT, origin=2, entries=((2, 0), (5, 1)))
+        news = advert(2, ((2, 0), (5, 1)))
         assert process_advertisement(table, 2, news) is True
         after = make_advertisement(table, 1)
         assert after is not before
@@ -143,9 +142,7 @@ class TestProcessAdvertisement:
     def test_poisoned_route_is_adopted(self):
         adjacency = {0: {1}, 1: {0, 2}, 2: {1}}
         tables, _ = converge(adjacency)
-        poisoned = ControlMessage(
-            MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0), (2, INF))
-        )
+        poisoned = advert(1, ((1, 0), (2, INF)))
         process_advertisement(tables[0], 1, poisoned)
         residual = {0: {1}, 1: {0}}
         assert tables[0].cost_to(2) == INF
@@ -154,16 +151,14 @@ class TestProcessAdvertisement:
     def test_route_via_advertiser_tracks_increase(self):
         adjacency = {0: {1}, 1: {0, 2}, 2: {1}}
         tables, _ = converge(adjacency)
-        worse = ControlMessage(
-            MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0), (2, 5))
-        )
+        worse = advert(1, ((1, 0), (2, 5)))
         assert process_advertisement(tables[0], 1, worse) is True
         assert tables[0].entries[2].cost == 6
 
     def test_missing_destination_via_advertiser_is_poisoned(self):
         adjacency = {0: {1}, 1: {0, 2}, 2: {1}}
         tables, _ = converge(adjacency)
-        silent = ControlMessage(MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0),))
+        silent = advert(1, ((1, 0),))
         assert process_advertisement(tables[0], 1, silent) is True
         assert tables[0].cost_to(2) == INF
 
@@ -171,8 +166,8 @@ class TestProcessAdvertisement:
         # 0 routes to 3 via 1 at cost 3; 2 offers the same cost and loses the
         # tie. When 1's cost rises, 2's unchanged repeat must win 3 back.
         table = init_routing(0, {1, 2})
-        via_1 = lambda c: ControlMessage(MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0), (3, c)))
-        via_2 = ControlMessage(MessageKind.ADVERTISEMENT, origin=2, entries=((2, 0), (3, 2)))
+        via_1 = lambda c: advert(1, ((1, 0), (3, c)))
+        via_2 = advert(2, ((2, 0), (3, 2)))
         assert process_advertisement(table, 1, via_1(2)) is True
         assert process_advertisement(table, 2, via_2) is False
         assert process_advertisement(table, 1, via_1(5)) is True
@@ -186,23 +181,21 @@ class TestProcessAdvertisement:
         # and loses. When 1's cost rises, 2's unchanged vector must win 5 back,
         # however many other rises came in between.
         table, two = init_routing(0, {1, 2}), init_routing(2, {0, 5})
-        near = ControlMessage(MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0), (5, 0)))
-        far = ControlMessage(MessageKind.ADVERTISEMENT, origin=1, entries=((1, 0), (5, 9)))
+        near = advert(1, ((1, 0), (5, 0)))
+        far = advert(1, ((1, 0), (5, 9)))
         assert process_advertisement(table, 1, near) is True
         adv = make_advertisement(two, 0)
         assert process_advertisement(table, 2, adv) is False
         assert process_advertisement(table, 1, far) is True
         for k in range(2 * other_rises):
-            flip = ControlMessage(MessageKind.ADVERTISEMENT, origin=7, entries=((7, 0), (8, k % 2)))
+            flip = advert(7, ((7, 0), (8, k % 2)))
             assert process_advertisement(table, 7, flip) is True
         assert process_advertisement(table, 2, adv) is True
         assert (table.entries[5].next_hop, table.cost_to(5)) == (2, 2)
 
     def test_self_entry_is_permanent(self):
         table = init_routing(0, {1})
-        hostile = ControlMessage(
-            MessageKind.ADVERTISEMENT, origin=1, entries=((0, 9), (1, 0))
-        )
+        hostile = advert(1, ((0, 9), (1, 0)))
         process_advertisement(table, 1, hostile)
         assert table.entries[0].cost == 0 and table.entries[0].next_hop == 0
 
@@ -501,7 +494,7 @@ def test_incremental_relaxation_matches_full_pass(data):
             elif step == "real" or entries is None:
                 entries = make_advertisement(tables[a], b).entries
                 assert entries == ref_advertisement(refs[a], a, inf, b)
-            adv = ControlMessage(MessageKind.ADVERTISEMENT, origin=a, entries=entries)
+            adv = advert(a, entries)
             want = ref_process(refs[b], b, inf, a, entries)
             assert process_advertisement(tables[b], a, adv) == want
             last[(a, b)] = entries
@@ -577,7 +570,7 @@ def test_delta_relaxation_matches_full_pass(data):
             for k, build in enumerate(builds):
                 entries = ((n, 0), (d if k < 2 else n + 1, hi if k % 2 else lo))
                 want = ref_process(refs[at], at, inf, n, entries)
-                adv = ControlMessage(MessageKind.ADVERTISEMENT, origin=n, entries=tuple(sorted(entries)))
+                adv = advert(n, tuple(sorted(entries)))
                 assert process_advertisement(tables[at], n, adv) == want
                 if build:
                     built = make_advertisement(tables[at], other)
@@ -586,7 +579,7 @@ def test_delta_relaxation_matches_full_pass(data):
         elif step == "made":
             made = data.draw(st.dictionaries(st.integers(0, n), costs, max_size=n + 1))
             entries = tuple(sorted(made.items()))
-            deliver(a, b, ControlMessage(MessageKind.ADVERTISEMENT, origin=a, entries=entries))
+            deliver(a, b, advert(a, entries))
         elif step == "misaddressed":
             # A vector poisoned for another receiver: same costs, other poisoned set.
             other = data.draw(st.sampled_from([m for m in range(n + 1) if m != a]))
@@ -603,8 +596,8 @@ def test_delta_relaxation_matches_full_pass(data):
 
 def _reachable(root, kind):
     """How many ``kind`` objects ``root`` keeps alive through routing state and containers."""
-    walk = (dict, list, tuple, set, frozenset, deque, RoutingTable, RouteEntry, ControlMessage,
-            Vector, ChangeRecord)
+    walk = (dict, list, tuple, set, frozenset, RoutingTable, RouteEntry, ControlMessage, Vector,
+            ChangeRecord)
     seen, stack, found = set(), [root], 0
     while stack:
         obj = stack.pop()
@@ -616,17 +609,30 @@ def _reachable(root, kind):
     return found
 
 
+def _chain_length(head):
+    length = 0
+    while head is not None:
+        length += 1
+        head = head.parent
+    return length
+
+
 def test_change_records_reach_back_no_further_than_their_depth():
     sender, receiver = init_routing(0, {1, 2}), init_routing(1, {0})
     for k in range(1000):
         # Node 2's cost to 5 alternates, so every step changes the sender's
         # table, and every other step raises an entry.
-        news = ControlMessage(MessageKind.ADVERTISEMENT, origin=2, entries=((2, 0), (5, 1 + k % 2)))
+        news = advert(2, ((2, 0), (5, 1 + k % 2)))
         assert process_advertisement(sender, 2, news) is True
         process_advertisement(receiver, 0, make_advertisement(sender, 1))
         assert receiver.cost_to(5) == sender.cost_to(5) + 1
-    assert len(sender.rises) == CHANGE_DEPTH
-    assert _reachable(sender, ChangeRecord) == CHANGE_DEPTH
+    # Each chain is full, and cut at its depth.
+    assert _chain_length(sender.vector.record) == CHANGE_DEPTH
+    assert _chain_length(sender.risen) == CHANGE_DEPTH
+    assert _chain_length(receiver.risen) == CHANGE_DEPTH
+    # Besides its own two chains, the sender keeps the record of the last
+    # vector it relaxed, and the receiver keeps the sender's vector chain.
+    assert _reachable(sender, ChangeRecord) == 2 * CHANGE_DEPTH + 1
+    assert _reachable(receiver, ChangeRecord) == 2 * CHANGE_DEPTH
     assert _reachable(sender, Vector) == 1
-    assert _reachable(receiver, ChangeRecord) <= CHANGE_DEPTH
     assert _reachable(receiver, Vector) == 0

@@ -4,7 +4,6 @@ import pytest
 
 from bluehop.scatternet import (
     LinkMode,
-    Role,
     form_scatternet,
     link_allowed,
     scatternet_to_json,
@@ -21,6 +20,18 @@ def make_world(positions, state=NodeState.ACTIVE):
     }
 
 
+def roles(net):
+    """node -> {piconet id -> role}, read off the piconet lists."""
+    held = {}
+    for pico in net.piconets:
+        held.setdefault(pico.master, {})[pico.id] = "master"
+        for m in pico.active_slaves:
+            held.setdefault(m, {})[pico.id] = "active"
+        for m in pico.parked_slaves:
+            held.setdefault(m, {})[pico.id] = "parked"
+    return held
+
+
 def check_invariants(net, adjacency):
     masters_held = {}
     for pico in net.piconets:
@@ -29,10 +40,10 @@ def check_invariants(net, adjacency):
         masters_held[pico.master] = pico.id
         for member in pico.active_slaves + pico.parked_slaves:
             assert member in adjacency[pico.master], "members must hear their master"
+    held = roles(net)
     for n in adjacency:
-        assert net.roles_of(n), f"node {n} holds no role"
-    for b in net.bridge_nodes:
-        assert len(net.memberships[b]) >= 2
+        assert held.get(n), f"node {n} holds no role"
+    assert net.bridge_nodes == {n for n, r in held.items() if len(r) >= 2}
 
 
 class TestFormation:
@@ -84,8 +95,7 @@ class TestFormation:
         net = form_scatternet(adjacency)
         check_invariants(net, adjacency)
         assert 3 in net.bridge_nodes
-        assert set(net.memberships[3]) == {0, 1}
-        assert [r is Role.ACTIVE_SLAVE for r in net.memberships[3].values()] == [True, True]
+        assert roles(net)[3] == {0: "active", 1: "active"}
 
     def test_deterministic(self):
         positions = random_positions(99, n_range=(10, 20))
@@ -153,15 +163,13 @@ class TestLinkAllowed:
 
 
 def role_intersection(net, a, b):
-    """The link rule read off the roles: the lowest shared piconet where one
+    """The link rule read off the piconet lists: the lowest piconet where one
     end is master and the other an active slave, with ``a``'s parity."""
-    ra, rb = net.roles_of(a), net.roles_of(b)
-    for pid in sorted(set(ra) & set(rb)):
-        pair = (ra[pid], rb[pid])
-        if pair == (Role.MASTER, Role.ACTIVE_SLAVE):
-            return pid, 0
-        if pair == (Role.ACTIVE_SLAVE, Role.MASTER):
-            return pid, 1
+    for pico in sorted(net.piconets, key=lambda p: p.id):
+        if pico.master == a and b in pico.active_slaves:
+            return pico.id, 0
+        if pico.master == b and a in pico.active_slaves:
+            return pico.id, 1
     return None
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bluehop import scenario_path
-from bluehop.routing import ControlMessage, MessageKind, process_advertisement
+from bluehop.routing import process_advertisement
 from bluehop.scatternet import link_allowed
 from bluehop.scenario import parse_scenario, validate_scenario
 from bluehop.simkernel import (
@@ -17,7 +17,7 @@ from bluehop.simkernel import (
 )
 from bluehop.topology import Node, NodeState, Position
 
-from conftest import geometric_scenario
+from conftest import advert, geometric_scenario
 
 
 class TestEventQueue:
@@ -278,7 +278,7 @@ class TestFailureModes:
         # the relay's route; node 0 routes 2 via the relay, so it offers none,
         # and the arriving packet finds no usable next hop.
         relay = engine.runtimes[1]
-        silent = ControlMessage(MessageKind.ADVERTISEMENT, origin=2, entries=())
+        silent = advert(2, ())
         assert process_advertisement(relay.table, 2, silent) is True
         engine._send_message(0, 2, 30)
         engine.run(until=140_000)
@@ -291,7 +291,7 @@ class TestFailureModes:
         # Force a two-node forwarding loop toward a phantom destination: each
         # node hears the other offer it at cost 1.
         for n, via in ((0, 1), (1, 0)):
-            phantom = ControlMessage(MessageKind.ADVERTISEMENT, origin=via, entries=((via, 0), (9, 1)))
+            phantom = advert(via, ((via, 0), (9, 1)))
             assert process_advertisement(engine.runtimes[n].table, via, phantom) is True
         engine.world[9] = Node(Position(1000.0, 1000.0), engine.world[0].range_m)
         engine._send_message(0, 9, 10)
