@@ -68,7 +68,15 @@ def record_event(m: Metrics, record: dict) -> None:
     """
     kind = record["kind"]
     detail = record.get("detail") or {}
-    if kind in ("msg_send", "msg_rejected"):
+    # The most frequent kinds are tested first.
+    if kind == "ctrl_sent":
+        ck = detail["ctrl"]
+        m.control_packets[ck] = m.control_packets.get(ck, 0) + 1
+    elif kind in _PASSIVE_KINDS:
+        pass
+    elif kind in ("data_tx", "ack_tx"):
+        m.data_packets_forwarded += 1
+    elif kind in ("msg_send", "msg_rejected"):
         outcome = "pending" if kind == "msg_send" else "rejected"
         m.rows[detail["msg_id"]] = dict(
             msg_id=detail["msg_id"], src=record["node"], dst=detail["dst"], bytes=detail["bytes"],
@@ -93,11 +101,6 @@ def record_event(m: Metrics, record: dict) -> None:
             latency_us=detail["latency_us"],
             retries=detail["retries"],
         )
-    elif kind == "ctrl_sent":
-        ck = detail["ctrl"]
-        m.control_packets[ck] = m.control_packets.get(ck, 0) + 1
-    elif kind in ("data_tx", "ack_tx"):
-        m.data_packets_forwarded += 1
     elif kind == "discovery":
         m.discoveries_triggered += 1
     elif kind == "stale_ctrl":
@@ -107,8 +110,6 @@ def record_event(m: Metrics, record: dict) -> None:
     elif kind == "drop":
         cls = detail["class"]
         m.packet_drops[cls] = m.packet_drops.get(cls, 0) + 1
-    elif kind in _PASSIVE_KINDS:
-        pass
     else:
         raise ValueError(f"unknown trace record kind: {kind}")
 

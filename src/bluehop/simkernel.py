@@ -39,6 +39,18 @@ class EventKind(Enum):
     PACKET_ARRIVAL = "packet_arrival"
     SCENARIO_ACTION = "scenario_action"
 
+    # Members hash by identity: the run loop looks one up per event, and
+    # Enum's own __hash__ is a Python-level call.
+    __hash__ = object.__hash__
+
+
+# EnumType defines ``__getattr__``, so CPython 3.11 reads a member off an Enum
+# class by a slow generic lookup; the per-event path reads these constants.
+_ACTIVE = NodeState.ACTIVE
+_SCATTERNET = LinkMode.SCATTERNET
+_ARRIVAL, _EXPIRY = EventKind.PACKET_ARRIVAL, EventKind.NEIGHBOR_EXPIRY
+_WITHDRAW, _ADVERTISEMENT = routing.MessageKind.WITHDRAW, routing.MessageKind.ADVERTISEMENT
+
 
 class Event(NamedTuple):
     time: int
@@ -47,36 +59,41 @@ class Event(NamedTuple):
     args: tuple  # positional arguments of the kind's handler
 
 
+# Builds an Event without the namedtuple's Python-level ``__new__``.
+_new_event = tuple.__new__
+
+
 class EventQueue:
-    """Min-heap of events ordered by (time, scheduling sequence)."""
+    """Min-heap of events ordered by (time, scheduling sequence); ``heap[0]`` is next."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self.heap: list[Event] = []
         self._sequence = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def schedule(self, now: int, time: int, kind: EventKind, *args) -> None:
         if time < now:
             raise CausalityError(f"event at {time} scheduled from {now}")
-        heapq.heappush(self._heap, Event(time, self._sequence, kind, args))
+        heapq.heappush(self.heap, _new_event(Event, (time, self._sequence, kind, args)))
         self._sequence += 1
 
     def reserve(self) -> int:
-        """Take the next sequence number for a periodic event that re-arms under it."""
+        """Take the next sequence number for an event that is pushed later under it."""
         self._sequence += 1
         return self._sequence - 1
 
-    def rearm(self, time: int, sequence: int, kind: EventKind) -> None:
-        """Push the next firing of a periodic event under its reserved number."""
-        heapq.heappush(self._heap, Event(time, sequence, kind, ()))
+    def rearm(self, time: int, sequence: int, kind: EventKind, *args) -> None:
+        """Push an event under a number taken earlier with ``reserve``.
 
-    def peek_time(self) -> int | None:
-        return self._heap[0].time if self._heap else None
+        At most one event is queued under a reserved number at a time, so no
+        two queued events share a (time, sequence) key.
+        """
+        heapq.heappush(self.heap, _new_event(Event, (time, sequence, kind, args)))
 
     def pop(self) -> Event:
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self.heap)
 
 
 Body = routing.ControlMessage | transport.DataPacket | transport.Ack
@@ -112,6 +129,7 @@ class NodeRuntime:
     """Per-node radio, liveness and reassembly state; routing state lives in ``table``."""
 
     table: routing.RoutingTable
+    # When each known neighbour was last heard; forgetting it removes the entry.
     last_heard: dict[int, int] = field(default_factory=dict)
     txq: deque = field(default_factory=deque)
     busy_until: int = 0
@@ -138,6 +156,7 @@ class Engine:
         self.mode = config.link_mode
         self.inf = config.protocol.inf
         self.t_adv = config.protocol.t_adv_hus
+        self._expiry_hus = NEIGHBOR_MISS_BUDGET * self.t_adv
         self.t_ack = config.protocol.t_ack_hus
         self.retries = config.protocol.retries
         self.bits_per_slot = baseband.BITS_PER_SLOT * config.rate_multiplier
@@ -150,7 +169,10 @@ class Engine:
         self.net: Scatternet | None = None
         self.runtimes: dict[int, NodeRuntime] = {}
         self._links: dict[int, tuple[int, ...]] = {}
-        self._hop_seqs: dict[int, baseband.HopSequence] = {}
+        # Rebuilt at each formation: each piconet's hop sequence, by piconet
+        # id, and the neighbours each node holds a link map entry for.
+        self._hops: list[baseband.HopSequence] = []
+        self._granted: dict[int, set[int]] = {}
         self._msg_counter = 0
         self._started = False
         # Every message's sender-side state, kept engine-wide so a reboot or a
@@ -166,6 +188,14 @@ class Engine:
         self._movers = [n for n in self._ids if self.world[n].path]
         # The in-range graph, re-tested only for the pairs a change touches.
         self.near: dict[int, set[int]] = {n: set() for n in self._ids}
+        # Neighbour expiry keeps one live check per (node, neighbour) pair.
+        # ``_heard_at[n][m]`` is (instant of the latest refresh, sequence number
+        # of the first refresh at that instant): a silent neighbour expires at
+        # (instant + _expiry_hus, number), the key the first check armed at
+        # that instant would hold if every refresh armed its own. Both maps
+        # outlive forgets and reboots, as queued checks do.
+        self._heard_at: dict[int, dict[int, tuple[int, int]]] = {n: {} for n in self._ids}
+        self._expiring: dict[int, set[int]] = {n: set() for n in self._ids}
 
     # ------------------------------------------------------------------ setup
 
@@ -174,7 +204,7 @@ class Engine:
         topology.apply_motion(self.world, 0)
         self._relink(self._ids)
         for n in self._ids:
-            if self.world[n].state is NodeState.ACTIVE:
+            if self.world[n].state is _ACTIVE:
                 self._init_node_routing(n)
         # The periodic timers re-arm themselves under sequence numbers taken
         # here. So at any instant the motion tick, then the advertisement
@@ -209,18 +239,20 @@ class Engine:
             EventKind.SCENARIO_ACTION: self._on_scenario_action,
         }
         limit = self.horizon if until is None else min(until, self.horizon)
-        while (t := self.queue.peek_time()) is not None and t <= limit:
-            event = self.queue.pop()
-            self.now = event.time
-            handlers[event.kind](*event.args)
+        heap, pop = self.queue.heap, self.queue.pop
+        while heap and heap[0][0] <= limit:
+            time, _, kind, args = pop()
+            self.now = time
+            handlers[kind](*args)
         self.now = max(self.now, limit)
         return self.metrics, self.trace
 
     # ------------------------------------------------------------ trace/links
 
     def _emit(self, kind: str, node: int | None, detail: dict | None = None) -> None:
+        t = self.now
         record = {
-            "t_us": _t_us(self.now),
+            "t_us": t // 2 if t % 2 == 0 else t / 2,  # _t_us, inlined on the hot path
             "seq": len(self.trace),
             "kind": kind,
             "node": node,
@@ -248,19 +280,23 @@ class Engine:
                     near.discard(b)
                     self.near[b].discard(a)
             done.add(a)
-        if self.mode is not LinkMode.SCATTERNET:
+        if self.mode is not _SCATTERNET:
             self._links = {n: tuple(sorted(near)) for n, near in self.near.items()}
             return
         if self.net is None or self._scatternet_broken():
             active = {
-                n: near for n, near in self.near.items() if self.world[n].state is NodeState.ACTIVE
+                n: near for n, near in self.near.items() if self.world[n].state is _ACTIVE
             }
             self.net = scatternet.form_scatternet(active)
+            self._hops = [
+                baseband.HopSequence(seed=derive_seed(self.seed, f"hop:{p.master}"))
+                for p in self.net.piconets
+            ]
+            self._granted = {n: set() for n in self._ids}
+            for a, b in self.net.links:
+                self._granted[a].add(b)
             self._emit("scatternet", None, scatternet.scatternet_to_json(self.net))
-        granted = self.net.links
-        self._links = {
-            n: tuple(sorted(m for m in near if (n, m) in granted)) for n, near in self.near.items()
-        }
+        self._links = {n: tuple(sorted(near & self._granted[n])) for n, near in self.near.items()}
 
     def links(self, n: int) -> tuple[int, ...]:
         return self._links.get(n, ())
@@ -268,24 +304,17 @@ class Engine:
     def _scatternet_broken(self) -> bool:
         placed = set()
         for pico in self.net.piconets:
-            if self.world[pico.master].state is not NodeState.ACTIVE:
+            if self.world[pico.master].state is not _ACTIVE:
                 return True
             heard = self.near[pico.master]
             placed.add(pico.master)
             for member in pico.active_slaves + pico.parked_slaves:
-                if self.world[member].state is NodeState.ACTIVE and member not in heard:
+                if self.world[member].state is _ACTIVE and member not in heard:
                     return True
                 placed.add(member)
         return any(
-            node.state is NodeState.ACTIVE and n not in placed for n, node in self.world.items()
+            node.state is _ACTIVE and n not in placed for n, node in self.world.items()
         )
-
-    def _hop_sequence(self, master: int) -> baseband.HopSequence:
-        if master not in self._hop_seqs:
-            self._hop_seqs[master] = baseband.HopSequence(
-                seed=derive_seed(self.seed, f"hop:{master}")
-            )
-        return self._hop_seqs[master]
 
     # -------------------------------------------------------------- protocol
 
@@ -297,15 +326,22 @@ class Engine:
             self._enqueue_adv(n, m)
 
     def _refresh_neighbor(self, n: int, neighbor: int) -> None:
-        """Note ``neighbor`` as heard now and arm the check that expires it."""
-        self.runtimes[n].last_heard[neighbor] = self.now
-        self.queue.schedule(
-            self.now,
-            self.now + NEIGHBOR_MISS_BUDGET * self.t_adv,
-            EventKind.NEIGHBOR_EXPIRY,
-            n,
-            neighbor,
-        )
+        """Note ``neighbor`` as heard now; queue a check that expires it unless one is live.
+
+        Every refresh takes a sequence number, so every other event keeps the
+        number it had when each refresh armed a check of its own.
+        """
+        now = self.now
+        self.runtimes[n].last_heard[neighbor] = now
+        seq = self.queue.reserve()
+        heard_at = self._heard_at[n]
+        stamp = heard_at.get(neighbor)
+        if stamp is None or stamp[0] != now:
+            stamp = heard_at[neighbor] = (now, seq)
+        expiring = self._expiring[n]
+        if neighbor not in expiring:
+            expiring.add(neighbor)
+            self.queue.rearm(now + self._expiry_hus, stamp[1], _EXPIRY, n, neighbor)
 
     def _enqueue_adv(self, n: int, to: int) -> None:
         if to in self.runtimes[n].queued_advs:
@@ -321,7 +357,8 @@ class Engine:
         rt = self.runtimes[frame.sender]
         rt.txq.append(frame)
         rt.queue_depth[frame.to] = rt.queue_depth.get(frame.to, 0) + 1
-        self._try_service(frame.sender)
+        if rt.busy_until <= self.now:
+            self._try_service(frame.sender, rt)
 
     def _route_candidates(self, n: int, dest: int) -> list[tuple[int, int]]:
         """Minimal-cost next hops toward ``dest`` with their queue depths."""
@@ -344,68 +381,57 @@ class Engine:
 
     # ----------------------------------------------------------------- radio
 
-    def _try_service(self, n: int) -> None:
-        """Start the next queued transmission if the radio is free."""
-        rt = self.runtimes[n]
-        while rt.txq and rt.busy_until <= self.now:
+    def _try_service(self, n: int, rt: NodeRuntime) -> None:
+        """Start the next queued transmission of ``n``, whose radio is idle.
+
+        Callers check ``busy_until <= now`` first; a busy radio is serviced by
+        the arrival that ends its airtime.
+        """
+        now = self.now
+        while rt.txq:
             frame = rt.txq.popleft()
-            rt.queue_depth[frame.to] = rt.queue_depth.get(frame.to, 1) - 1
-            if frame.body is None:
+            to, body = frame.to, frame.body
+            rt.queue_depth[to] -= 1
+            if body is None:
                 # Content is built at transmission time so a queued triggered
                 # advertisement always carries the latest table.
-                rt.queued_advs.discard(frame.to)
-                frame.body = routing.make_advertisement(rt.table, frame.to)
-            if self.world[n].state is not NodeState.ACTIVE:
+                rt.queued_advs.discard(to)
+                body = frame.body = routing.make_advertisement(rt.table, to)
+            if self.world[n].state is not _ACTIVE:
                 self._emit(
-                    "packet_lost",
-                    n,
-                    {"to": frame.to, "ftype": _ftype(frame.body), "where": "sender_inactive"},
+                    "packet_lost", n, {"to": to, "ftype": _ftype(body), "where": "sender_inactive"}
                 )
                 continue
-            channel = None
-            if self.mode is LinkMode.SCATTERNET:
-                link = self.net.link_piconet(n, frame.to)
+            if self.mode is _SCATTERNET:
+                link = self.net.link_piconet(n, to)
                 if link is None:
                     self._emit(
                         "packet_lost",
                         n,
-                        {"to": frame.to, "ftype": _ftype(frame.body), "where": "no_slot_grant"},
+                        {"to": to, "ftype": _ftype(body), "where": "no_slot_grant"},
                     )
                     continue
                 pid, parity = link
-                master = self.net.piconets[pid].master
-                start = baseband.next_tx_start_hus(max(self.now, rt.busy_until), parity)
-                channel = baseband.hop_channel(
-                    self._hop_sequence(master), start // baseband.SLOT_HUS
-                )
+                start = baseband.next_tx_start_hus(now, parity)
+                channel = baseband.hop_channel(self._hops[pid], start // baseband.SLOT_HUS)
             else:
-                start = max(self.now, rt.busy_until)
-            is_data = isinstance(frame.body, transport.DataPacket)
-            slots = frame.body.slot_class.slots if is_data else 1
+                start, channel = now, None
+            body_type = type(body)
+            if body_type is transport.DataPacket:
+                slots = body.slot_class.slots
+                kind, detail = "data_tx", {
+                    "to": to, "msg_id": body.msg_id, "fragment": body.fragment_index, "slots": slots
+                }
+            elif body_type is transport.Ack:
+                slots, kind, detail = 1, "ack_tx", {"to": to, "msg_id": body.msg_id}
+            else:
+                slots, kind, detail = 1, "ctrl_sent", {"to": to, "ctrl": body.kind._value_}
+            if channel is not None:
+                detail["channel"] = channel
             rt.busy_until = start + baseband.tx_duration_hus(slots)
-            self._trace_transmission(frame, slots, channel)
-            self.queue.schedule(self.now, rt.busy_until, EventKind.PACKET_ARRIVAL, frame)
+            self._emit(kind, n, detail)
+            self.queue.schedule(now, rt.busy_until, _ARRIVAL, frame)
             return
-
-    def _trace_transmission(self, frame: Frame, slots: int, channel: int | None) -> None:
-        body = frame.body
-        if isinstance(body, transport.DataPacket):
-            kind = "data_tx"
-            detail = {
-                "to": frame.to,
-                "msg_id": body.msg_id,
-                "fragment": body.fragment_index,
-                "slots": slots,
-            }
-        elif isinstance(body, transport.Ack):
-            kind = "ack_tx"
-            detail = {"to": frame.to, "msg_id": body.msg_id}
-        else:
-            kind = "ctrl_sent"
-            detail = {"to": frame.to, "ctrl": body.kind.value}
-        if channel is not None:
-            detail["channel"] = channel
-        self._emit(kind, frame.sender, detail)
 
     # ---------------------------------------------------------- timers/churn
 
@@ -419,16 +445,23 @@ class Engine:
         """Every active node advertises to each of its links, in id order."""
         self._rearm(EventKind.ADVERTISEMENT_TIMER, self.t_adv, self._round_seq)
         for n in self._ids:
-            if self.world[n].state is NodeState.ACTIVE:
+            if self.world[n].state is _ACTIVE:
                 self._emit("adv_timer", n, {})
                 self._broadcast_advs(n)
 
     def _on_neighbor_expiry(self, n: int, neighbor: int) -> None:
-        if self.world[n].state is not NodeState.ACTIVE:
-            return
+        """Expire a silent neighbour, or re-arm the pair's check at its next due time."""
         heard = self.runtimes[n].last_heard.get(neighbor)
-        if heard is None or heard + NEIGHBOR_MISS_BUDGET * self.t_adv > self.now:
-            return  # refreshed since this check was armed
+        if heard is None or self.world[n].state is not _ACTIVE:
+            # Forgotten or powered off: the next refresh arms a new check.
+            self._expiring[n].discard(neighbor)
+            return
+        due = heard + self._expiry_hus
+        if due > self.now:
+            # Refreshed since this check was armed.
+            self.queue.rearm(due, self._heard_at[n][neighbor][1], _EXPIRY, n, neighbor)
+            return
+        self._expiring[n].discard(neighbor)
         # A silent neighbour is treated exactly like a withdraw from it.
         self._emit("neighbor_expiry", n, {"neighbor": neighbor})
         self._forget_neighbor(n, neighbor)
@@ -451,19 +484,19 @@ class Engine:
         self._emit("withdraw_action", n, {"neighbors": list(neighbors)})
         msg = routing.ControlMessage(routing.MessageKind.WITHDRAW, origin=n)
         for m in neighbors:
-            self._emit("ctrl_sent", n, {"to": m, "ctrl": msg.kind.value})
+            self._emit("ctrl_sent", n, {"to": m, "ctrl": "withdraw"})
             self.queue.schedule(
-                self.now, self.now + baseband.SLOT_HUS, EventKind.PACKET_ARRIVAL, Frame(n, m, msg)
+                self.now, self.now + baseband.SLOT_HUS, _ARRIVAL, Frame(n, m, msg)
             )
         self._apply_state(n, NodeState.OFF)
 
     def _apply_state(self, n: int, state: NodeState) -> None:
         node = self.world[n]
-        was_active = node.state is NodeState.ACTIVE
+        was_active = node.state is _ACTIVE
         node.state = state
         self._emit("state_change", n, {"state": state.value})
         self._relink([n])
-        if state is NodeState.ACTIVE and not was_active:
+        if state is _ACTIVE and not was_active:
             # A node that rejoins finds its immediate neighbours afresh.
             self._init_node_routing(n)
 
@@ -472,7 +505,7 @@ class Engine:
     def _send_message(self, src: int, dst: int, nbytes: int) -> None:
         msg_id = self._msg_counter
         self._msg_counter += 1
-        if self.world[src].state is not NodeState.ACTIVE:
+        if self.world[src].state is not _ACTIVE:
             self._emit(
                 "msg_rejected",
                 src,
@@ -556,7 +589,7 @@ class Engine:
             )
             return
         transfer.retransmissions += 1
-        if self.world[src].state is NodeState.ACTIVE:
+        if self.world[src].state is _ACTIVE:
             self._trigger_discovery(src, transfer.dst)
             self._send_over_first_hop(transfer)
         self._arm_ack_timer(transfer)
@@ -564,24 +597,28 @@ class Engine:
     # --------------------------------------------------------------- arrival
 
     def _on_arrival(self, frame: Frame) -> None:
-        self._try_service(frame.sender)
         n, sender, body = frame.to, frame.sender, frame.body
-        if self.world[n].state is not NodeState.ACTIVE:
+        rt = self.runtimes[sender]
+        if rt.txq and rt.busy_until <= self.now:
+            self._try_service(sender, rt)
+        if self.world[n].state is not _ACTIVE:
             self._emit(
                 "packet_lost",
                 n,
                 {"from": sender, "ftype": _ftype(body), "where": "receiver_inactive"},
             )
             return
-        linked = sender in self.links(n)
-        if isinstance(body, routing.ControlMessage):
-            if body.kind is routing.MessageKind.WITHDRAW:
+        linked = sender in self._links[n]
+        body_type = type(body)
+        if body_type is routing.ControlMessage:
+            kind = body.kind
+            if kind is _WITHDRAW:
                 # The sender is already gone; the farewell is honoured regardless.
-                self._emit("ctrl_rx", n, {"from": sender, "ctrl": body.kind.value})
+                self._emit("ctrl_rx", n, {"from": sender, "ctrl": "withdraw"})
                 self._forget_neighbor(n, sender)
             elif not linked:
-                self._emit("stale_ctrl", n, {"from": sender, "ctrl": body.kind.value})
-            elif body.kind is routing.MessageKind.ADVERTISEMENT:
+                self._emit("stale_ctrl", n, {"from": sender, "ctrl": kind._value_})
+            elif kind is _ADVERTISEMENT:
                 self._on_ctrl_adv(n, sender, body)
             else:
                 self._on_ctrl_disco(n, sender, body)
@@ -589,20 +626,20 @@ class Engine:
             self._emit(
                 "packet_lost", n, {"from": sender, "ftype": _ftype(body), "where": "link_down"}
             )
-        elif isinstance(body, transport.DataPacket):
+        elif body_type is transport.DataPacket:
             self._on_data(n, sender, body)
         else:
             self._on_ack(n, sender, body)
 
     def _on_ctrl_adv(self, n: int, sender: int, adv: routing.ControlMessage) -> None:
-        self._emit("ctrl_rx", n, {"from": sender, "ctrl": adv.kind.value})
+        self._emit("ctrl_rx", n, {"from": sender, "ctrl": "advertisement"})
         self._refresh_neighbor(n, sender)
         if routing.process_advertisement(self.runtimes[n].table, sender, adv):
             self._broadcast_advs(n)
 
     def _on_ctrl_disco(self, n: int, sender: int, msg: routing.ControlMessage) -> None:
         self._emit(
-            "ctrl_rx", n, {"from": sender, "ctrl": msg.kind.value, "target": msg.target}
+            "ctrl_rx", n, {"from": sender, "ctrl": "discovery_request", "target": msg.target}
         )
         self._refresh_neighbor(n, sender)
         # Every receiver answers with a full advertisement toward the asker.
@@ -728,7 +765,7 @@ class Engine:
                 str(n): list(self.links(n)) for n in sorted(self.world)
             }
         }
-        if self.mode is LinkMode.SCATTERNET and self.net is not None:
+        if self.mode is _SCATTERNET and self.net is not None:
             out["scatternet"] = scatternet.scatternet_to_json(self.net)
         return out
 

@@ -7,7 +7,11 @@ together over whole runs. The reference run
 - forgets what it last relaxed from each sender, so every advertisement takes
   the full relaxation pass (no repeat shortcut, no delta path);
 - re-tests every pair of nodes whenever any node moves or changes state;
-- recomputes every seal keystream (no memo).
+- recomputes every seal keystream (no memo);
+- arms one neighbour expiry check per refresh, each acting only if nothing
+  was heard since, instead of one live check per pair that re-arms itself;
+- services a sender's radio on every enqueue and every arrival, busy or idle,
+  full queue or empty, instead of only when it can send.
 """
 from __future__ import annotations
 
@@ -19,7 +23,8 @@ from hypothesis import given, settings
 
 from bluehop import routing, scenario_path, transport
 from bluehop.scenario import parse_scenario, validate_scenario
-from bluehop.simkernel import Engine
+from bluehop.simkernel import NEIGHBOR_MISS_BUDGET, Engine, EventKind
+from bluehop.topology import NodeState
 
 from conftest import load_workloads
 from test_fuzz import scenarios
@@ -37,6 +42,7 @@ def all_reference():
         routing.make_advertisement, routing.process_advertisement, Engine._relink
     )
     seal_key = transport._seal_key.__wrapped__
+    try_service, on_arrival = Engine._try_service, Engine._on_arrival
 
     def make_from_table(table, to_neighbor):
         used["make"] += 1
@@ -56,11 +62,52 @@ def all_reference():
         used["seal"] += 1
         return seal_key(*args)
 
+    def refresh_arming_a_check(engine, n, neighbor):
+        used["expiry"] += 1
+        engine.runtimes[n].last_heard[neighbor] = engine.now
+        engine.queue.schedule(
+            engine.now,
+            engine.now + NEIGHBOR_MISS_BUDGET * engine.t_adv,
+            EventKind.NEIGHBOR_EXPIRY,
+            n,
+            neighbor,
+        )
+
+    def expire_if_unheard_since(engine, n, neighbor):
+        if engine.world[n].state is not NodeState.ACTIVE:
+            return
+        heard = engine.runtimes[n].last_heard.get(neighbor)
+        if heard is None or heard + NEIGHBOR_MISS_BUDGET * engine.t_adv > engine.now:
+            return
+        engine._emit("neighbor_expiry", n, {"neighbor": neighbor})
+        engine._forget_neighbor(n, neighbor)
+
+    def service_unless_busy(engine, n, rt):
+        if rt.busy_until <= engine.now:
+            try_service(engine, n, rt)
+
+    def enqueue_and_service(engine, frame):
+        used["radio"] += 1
+        rt = engine.runtimes[frame.sender]
+        rt.txq.append(frame)
+        rt.queue_depth[frame.to] = rt.queue_depth.get(frame.to, 0) + 1
+        engine._try_service(frame.sender, rt)
+
+    def service_and_arrive(engine, frame):
+        used["radio"] += 1
+        engine._try_service(frame.sender, engine.runtimes[frame.sender])
+        on_arrival(engine, frame)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(routing, "make_advertisement", make_from_table)
         mp.setattr(routing, "process_advertisement", process_full_pass)
         mp.setattr(Engine, "_relink", relink_everyone)
         mp.setattr(transport, "_seal_key", seal_key_unmemoised)
+        mp.setattr(Engine, "_refresh_neighbor", refresh_arming_a_check)
+        mp.setattr(Engine, "_on_neighbor_expiry", expire_if_unheard_since)
+        mp.setattr(Engine, "_try_service", service_unless_busy)
+        mp.setattr(Engine, "_enqueue_frame", enqueue_and_service)
+        mp.setattr(Engine, "_on_arrival", service_and_arrive)
         yield used
 
 
@@ -101,4 +148,4 @@ def test_fuzzed_runs(config):
 def test_every_switch_reaches_the_engine():
     with all_reference() as used:
         Engine(parse_scenario(scenario_path("diamond_failover.json")), 0).run()
-    assert set(used) == {"make", "process", "relink", "seal"}
+    assert set(used) == {"make", "process", "relink", "seal", "expiry", "radio"}

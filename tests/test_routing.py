@@ -513,7 +513,9 @@ def test_delta_relaxation_matches_full_pass(data):
     Tables change in bursts between deliveries, so receivers see vectors
     several versions apart and raise their own entries many times between
     two vectors from one sender, sometimes more than the change records reach
-    back; withdraws and hand-made vectors move ``raised`` in between.
+    back; withdraws and hand-made vectors move ``raised`` in between. An
+    undercut raises the receiver more times than its records reach back
+    between two deliveries of the same vector, on first contact too.
     """
     n = data.draw(st.integers(2, 6), label="nodes")
     inf = data.draw(st.sampled_from([INF, 4]), label="inf")
@@ -538,19 +540,41 @@ def test_delta_relaxation_matches_full_pass(data):
         want = ref_process(refs[b], b, inf, a, adv.entries)
         assert process_advertisement(tables[b], a, adv) == want
 
+    def send(a, b, history):
+        adv = make_advertisement(tables[a], b)
+        assert adv.entries == ref_advertisement(refs[a], a, inf, b)
+        history.append(adv)
+        deliver(a, b, adv)
+
+    def hear_outsider(b, entries):
+        want = ref_process(refs[b], b, inf, n, entries)
+        assert process_advertisement(tables[b], n, advert(n, entries)) == want
+
     for _ in range(data.draw(st.integers(1, 40), label="steps")):
         step = data.draw(
             st.sampled_from(
-                ["send", "send", "send", "repeat", "stale", "burst", "made", "misaddressed", "withdraw"]
+                ["send", "send", "send", "repeat", "stale", "burst", "undercut", "made",
+                 "misaddressed", "withdraw"]
             )
         )
         a, b = data.draw(st.sampled_from(pairs))
         history = sent.setdefault((a, b), [])
         if step == "send" or (step in ("repeat", "stale") and not history):
-            adv = make_advertisement(tables[a], b)
-            assert adv.entries == ref_advertisement(refs[a], a, inf, b)
-            history.append(adv)
-            deliver(a, b, adv)
+            send(a, b, history)
+        elif step == "undercut":
+            # b hears a's vector (a first one, if a never sent one), then a
+            # neighbour n outside the graph offers every destination in it at
+            # cost 0, drops them all, and raises n + 1 more often than the
+            # records reach back. a's unchanged vector, heard again, must win
+            # the dropped destinations back.
+            if not history:
+                send(a, b, history)
+            dests = sorted(history[-1].vector.costs)
+            hear_outsider(b, ((n, 0), *((d, 0) for d in dests if d != n)))
+            hear_outsider(b, ((n, 0),))
+            for k in range(data.draw(st.integers(2 * CHANGE_DEPTH + 2, 6 * CHANGE_DEPTH))):
+                hear_outsider(b, ((n, 0), (n + 1, (inf - 1) * (k % 2))))
+            deliver(a, b, history[-1])
         elif step == "repeat":
             deliver(a, b, history[-1])
         elif step == "stale":

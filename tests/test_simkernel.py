@@ -9,6 +9,7 @@ from bluehop.scatternet import link_allowed
 from bluehop.scenario import parse_scenario, validate_scenario
 from bluehop.simkernel import (
     MOTION_CADENCE_HUS,
+    NEIGHBOR_MISS_BUDGET,
     CausalityError,
     Engine,
     EventKind,
@@ -18,6 +19,7 @@ from bluehop.simkernel import (
 from bluehop.topology import Node, NodeState, Position
 
 from conftest import advert, geometric_scenario
+from test_reference_run import all_reference
 
 
 class TestEventQueue:
@@ -173,6 +175,90 @@ class TestPeriodicTimers:
             ("adv_timer", 0),
             ("adv_timer", 2),
         ]
+
+
+def _expiries(trace):
+    return [(r["t_us"], r["node"], r["detail"]["neighbor"]) for r in trace
+            if r["kind"] == "neighbor_expiry"]
+
+
+class TestExpiryChecks:
+    """One live expiry check per (node, neighbour) pair, whatever the refresh rate."""
+
+    def test_queue_holds_one_check_per_directed_link(self):
+        # A 6-node clique refreshed every 10 ms: 30 directed links, where one
+        # check per refresh kept three periods' worth (90) queued.
+        nodes = [{"id": i, "x": float(i), "y": 0.0, "class": 3} for i in range(6)]
+        config = validate_scenario({"horizon": 10.0, "protocol": {"t_adv": 0.01}, "nodes": nodes})
+        engine = Engine(config, 0)
+        engine.run(until=4_000_000)
+        checks = [e for e in engine.queue.heap if e.kind is EventKind.NEIGHBOR_EXPIRY]
+        assert 0 < len(checks) <= 30
+
+    def test_reboot_with_checks_pending_expires_a_silent_neighbor_once(self):
+        # Node 0 power-cycles while its check on node 1 is queued; node 1 then
+        # goes silent for good. The check that acts was re-armed after the
+        # last refresh, which found it live.
+        config = validate_scenario(
+            {
+                "horizon": 0.2,
+                "protocol": {"t_adv": 0.01},
+                "nodes": [
+                    {"id": 0, "x": 0.0, "y": 0.0, "class": 3},
+                    {"id": 1, "x": 5.0, "y": 0.0, "class": 3},
+                ],
+                "actions": [
+                    {"time": 0.0303, "node": 0, "action": "set_state", "state": "off"},
+                    {"time": 0.0307, "node": 0, "action": "set_state", "state": "active"},
+                    {"time": 0.0502, "node": 1, "action": "set_state", "state": "off"},
+                ],
+            }
+        )
+        engine = Engine(config, 0)
+        engine.run(until=60_500)  # just before the power-off
+        assert any(
+            e.kind is EventKind.NEIGHBOR_EXPIRY and e.args == (0, 1) for e in engine.queue.heap
+        )
+        _, trace = engine.run()
+        last_heard = max(
+            r["t_us"] for r in trace
+            if r["kind"] == "ctrl_rx" and r["node"] == 0 and r["detail"]["from"] == 1
+        )
+        budget_us = NEIGHBOR_MISS_BUDGET * engine.t_adv // 2
+        assert _expiries(trace) == [(last_heard + budget_us, 0, 1)]
+        with all_reference():
+            _, reference = Engine(config, 0).run()
+        assert reference == trace
+
+    def test_reboot_at_the_instant_of_a_refresh_keeps_the_expiry_order(self):
+        # At t = 625 us node 0 hears node 1's first advertisement, then
+        # power-cycles and hears it afresh; node 2 hears node 3 in between.
+        # Nodes 1 and 3 then fall silent. With one check per refresh, node 0's
+        # first check at that instant acts, so node 0 expires first; the live
+        # check keeps that place across the reboot.
+        config = validate_scenario(
+            {
+                "horizon": 0.1,
+                "protocol": {"t_adv": 0.01},
+                "nodes": [
+                    {"id": 0, "x": 0.0, "y": 0.0, "class": 3},
+                    {"id": 1, "x": 5.0, "y": 0.0, "class": 3},
+                    {"id": 2, "x": 100.0, "y": 0.0, "class": 3},
+                    {"id": 3, "x": 105.0, "y": 0.0, "class": 3},
+                ],
+                "actions": [
+                    {"time": 0.000625, "node": 0, "action": "set_state", "state": "off"},
+                    {"time": 0.000625, "node": 0, "action": "set_state", "state": "active"},
+                    {"time": 0.000625, "node": 1, "action": "set_state", "state": "off"},
+                    {"time": 0.000625, "node": 3, "action": "set_state", "state": "off"},
+                ],
+            }
+        )
+        _, trace = run_scenario(config, 0)
+        assert _expiries(trace) == [(30_625, 0, 1), (30_625, 2, 3)]
+        with all_reference():
+            _, reference = run_scenario(config, 0)
+        assert reference == trace
 
 
 class TestDeliveryPaths:

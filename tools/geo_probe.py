@@ -11,8 +11,9 @@ start after the horizon are dropped. Waypoints and flows come from the same
 generator as the placement.
 
 Prints the wall time of the run, the trace record count, the ``ctrl_sent`` and
-``data_tx`` counts, the delivery ratio, the process's peak RSS and the sha256
-of the trace as ``bluehop run`` writes it. It is evidence for scale, not a
+``data_tx`` counts, the delivery ratio, the process's peak RSS, the number of
+events still queued at the horizon and the sha256 of the trace as
+``bluehop run`` writes it. It is evidence for scale, not a
 benchmark gate: one run, on whatever host it runs on.
 """
 from __future__ import annotations
@@ -86,7 +87,7 @@ def main(argv: list[str] | None = None) -> None:
         f"{' scatternet' if args.scatternet else ''} {args.seconds:g}s:"
         f" wall {wall:.2f} s, {len(trace)} records, ctrl_sent {kinds['ctrl_sent']},"
         f" data_tx {kinds['data_tx']}, delivery {ratio:.2f}, peak RSS {rss_mb:.0f} MB,"
-        f" trace sha256 {digest.hexdigest()}"
+        f" queued {len(engine.queue)}, trace sha256 {digest.hexdigest()}"
     )
 
 
