@@ -319,6 +319,17 @@ class TestNextHops:
         assert table.cost_to(3) == INF
         assert next_hops(table, 3, (1, 2)) == []
 
+    def test_poisoned_cost_names_no_next_hop(self):
+        # 1 learns 5 via 0 at cost 2, then 0's own route via 2 rises to 3.
+        # 1's vector still says 2, poisoned toward 0, so only 2 is a next hop.
+        table, one = init_routing(0, {1, 2}), init_routing(1, {0})
+        process_advertisement(table, 2, advert(2, ((2, 0), (5, 0))))
+        process_advertisement(one, 0, make_advertisement(table, 1))
+        process_advertisement(table, 2, advert(2, ((2, 0), (5, 2))))
+        process_advertisement(table, 1, make_advertisement(one, 0))
+        assert table.cost_to(5) == one.cost_to(5) + 1 == 3
+        assert next_hops(table, 5, (1, 2)) == [2]
+
     def test_withdraw_forgets_the_vector(self):
         table = self.diamond()
         handle_withdraw(table, 1)
@@ -442,6 +453,18 @@ def ref_process(table, owner, inf, from_, entries):
     return changed
 
 
+def ref_next_hops(table, heard, inf, dest, links):
+    """Linked neighbours whose last advertised cost + 1 is the cost to ``dest``,
+    else the entry's own next hop while it is linked."""
+    entry = table.get(dest)
+    if entry is None or entry[1] >= inf:
+        return []
+    hops = [m for m in links if m in heard and heard[m].get(dest, inf) + 1 == entry[1]]
+    if not hops and entry[0] in links:
+        hops = [entry[0]]
+    return hops
+
+
 def ref_withdraw(table, owner, inf, leaving):
     changed = False
     if leaving in table and leaving != owner:
@@ -515,7 +538,9 @@ def test_delta_relaxation_matches_full_pass(data):
     two vectors from one sender, sometimes more than the change records reach
     back; withdraws and hand-made vectors move ``raised`` in between. An
     undercut raises the receiver more times than its records reach back
-    between two deliveries of the same vector, on first contact too.
+    between two deliveries of the same vector, on first contact too. After
+    every step, next_hops must pick what the last advertisement heard from
+    each sender says, poisoning included.
     """
     n = data.draw(st.integers(2, 6), label="nodes")
     inf = data.draw(st.sampled_from([INF, 4]), label="inf")
@@ -534,11 +559,17 @@ def test_delta_relaxation_matches_full_pass(data):
     tables = {i: init_routing(i, adjacency[i], inf) for i in range(n)}
     refs = {i: ref_init(i, adjacency[i]) for i in range(n)}
     sent = {}  # (sender, receiver) -> every real advertisement built for that link
+    # Receiver -> sender -> the entries of the last advertisement it relaxed.
+    ref_heard = {i: {} for i in range(n)}
     costs = st.integers(0, inf)
 
-    def deliver(a, b, adv):
+    def relax(b, a, adv):
         want = ref_process(refs[b], b, inf, a, adv.entries)
         assert process_advertisement(tables[b], a, adv) == want
+        ref_heard[b][a] = dict(adv.entries)
+
+    def deliver(a, b, adv):
+        relax(b, a, adv)
 
     def send(a, b, history):
         adv = make_advertisement(tables[a], b)
@@ -547,8 +578,7 @@ def test_delta_relaxation_matches_full_pass(data):
         deliver(a, b, adv)
 
     def hear_outsider(b, entries):
-        want = ref_process(refs[b], b, inf, n, entries)
-        assert process_advertisement(tables[b], n, advert(n, entries)) == want
+        relax(b, n, advert(n, entries))
 
     for _ in range(data.draw(st.integers(1, 40), label="steps")):
         step = data.draw(
@@ -593,9 +623,7 @@ def test_delta_relaxation_matches_full_pass(data):
             builds = data.draw(st.lists(st.booleans(), min_size=length, max_size=length))
             for k, build in enumerate(builds):
                 entries = ((n, 0), (d if k < 2 else n + 1, hi if k % 2 else lo))
-                want = ref_process(refs[at], at, inf, n, entries)
-                adv = advert(n, tuple(sorted(entries)))
-                assert process_advertisement(tables[at], n, adv) == want
+                relax(at, n, advert(n, tuple(sorted(entries))))
                 if build:
                     built = make_advertisement(tables[at], other)
                     assert built.entries == ref_advertisement(refs[at], at, inf, other)
@@ -610,8 +638,13 @@ def test_delta_relaxation_matches_full_pass(data):
             deliver(a, b, make_advertisement(tables[a], other))
         else:
             assert handle_withdraw(tables[b], a) == ref_withdraw(refs[b], b, inf, a)
+            ref_heard[b].pop(a, None)
         got = {d: (e.next_hop, e.cost) for d, e in tables[b].entries.items()}
         assert got == refs[b]
+        links = tuple(range(n + 2))
+        for d in range(n + 2):
+            want = ref_next_hops(refs[b], ref_heard[b], inf, d, links)
+            assert next_hops(tables[b], d, links) == want
         if data.draw(st.booleans(), label="check every advertisement"):
             for m in range(n):
                 if m != b:
