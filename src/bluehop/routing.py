@@ -32,6 +32,10 @@ class MessageKind(Enum):
     DISCOVERY_REQUEST = "discovery_request"
 
 
+# Read per advertisement; EnumType's ``__getattr__`` makes a class read slow.
+_ADVERTISEMENT = MessageKind.ADVERTISEMENT
+
+
 @dataclass(eq=False, slots=True)
 class ChangeRecord:
     """The destinations that one step of a table changed.
@@ -137,18 +141,15 @@ class RoutingTable:
     owner: int
     inf: int = INF
     entries: dict[int, RouteEntry] = field(default_factory=dict, init=False)
-    # Each neighbour's last advertised vector as sent here: poisoned reverse
-    # applied, costs as advertised.
-    heard: dict[int, dict[int, int]] = field(default_factory=dict, init=False)
+    # Per neighbour: its last advertisement as received (vectors are never
+    # mutated, poisoned sets are frozen) and ``risen`` after relaxing it.
+    heard: dict[int, tuple[ControlMessage, ChangeRecord]] = field(
+        default_factory=dict, init=False
+    )
     # (origin, target) of every discovery flood this node has joined.
     discovery_seen: set[tuple[int, int]] = field(default_factory=set, init=False)
     # Head of the rise chain: the last rise's record.
     risen: ChangeRecord = field(default=_NO_RISES, init=False)
-    # Per neighbour: ``risen`` as it stood after its last advertisement was
-    # relaxed, with that advertisement's vector record and poisoned set.
-    relaxed_at: dict[int, tuple[ChangeRecord, ChangeRecord, frozenset[int]]] = field(
-        default_factory=dict, init=False
-    )
     # The current vector's advertisement per receiver; emptied when a vector is built.
     adverts: dict[int, ControlMessage] = field(default_factory=dict, init=False)
     # Next hop -> the destinations routed through it (the owner's entry aside).
@@ -210,7 +211,7 @@ def make_advertisement(table: RoutingTable, to_neighbor: int) -> ControlMessage:
         vec = _build_vector(table)
     msg = table.adverts.get(to_neighbor)
     if msg is None:
-        msg = table.adverts[to_neighbor] = ControlMessage(MessageKind.ADVERTISEMENT, table.owner)
+        msg = table.adverts[to_neighbor] = ControlMessage(_ADVERTISEMENT, table.owner)
         msg.vector = vec
         msg.poisoned = frozenset(table.via.get(to_neighbor, ()))
     return msg
@@ -223,7 +224,7 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
     the current entry, or whenever the entry already routes through the
     advertiser: a route through a neighbour must track that neighbour's own
     view, including cost increases and silently dropped destinations.
-    The vector as sent here is kept as ``table.heard[from_]`` for next_hops.
+    The advertisement is kept as ``table.heard[from_]`` for next_hops.
     Returns True when any entry's (next hop, cost) changed, which obliges the
     caller to queue triggered advertisements.
 
@@ -237,56 +238,48 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
     destination not raised since: an unchanged (d, v[d]) pair for such a
     destination can change nothing, so re-offering one is harmless, and
     relaxing any superset of the changed pairs, the vanished destinations and
-    the raised destinations is exact. ``relaxed_at[X]`` keeps the head of
-    each chain as that relaxation left it: the rise record and the record of
-    ``v``. While both chains still reach back to them, they name such a
-    superset: the destinations in the vector records newer than ``v``'s,
-    whose cost or next hop moved in between; the difference of the two
-    poisoned sets; and the destinations in the rise records since. The same
-    two heads with the same poisoned set change nothing. Anything else (first contact,
-    or a chain cut before it reaches back) takes the full pass.
+    the raised destinations is exact. ``heard[X]`` keeps the advertisement
+    of ``v`` and the rise record that relaxation left. While both chains
+    still reach back to them, they name such a superset: the destinations in
+    the vector records newer than ``v``'s, whose cost or next hop moved in
+    between; the difference of the two poisoned sets; and the destinations in
+    the rise records since. The same two heads with the same poisoned set
+    change nothing. Anything else (first contact, or a chain cut before it
+    reaches back) takes the full pass over the whole vector. Both passes
+    relax their destinations in one loop; one missing from the vector has
+    vanished.
     """
-    if adv.kind is not MessageKind.ADVERTISEMENT:
+    if adv.kind is not _ADVERTISEMENT:
         raise ValueError(f"not an advertisement: {adv.kind}")
     owner, inf, entries, via = table.owner, table.inf, table.entries, table.via
-    vec, poisoned = adv.vector, adv.poisoned
-    last = table.relaxed_at.get(from_)
-    view = table.heard.get(from_)
-    offers = None
-    if last is not None and view is not None:
-        risen_then, seen, seen_poisoned = last
-        if risen_then is table.risen and seen is vec.record and poisoned == seen_poisoned:
-            return False
-        dests = set(poisoned)
-        dests ^= seen_poisoned
-        if _since(table.risen, risen_then, dests) and _since(vec.record, seen, dests):
-            costs = vec.costs
-            offers, vanished = [], []
-            for d in dests:
-                c = inf if d in poisoned else costs.get(d)
-                if c is None:
-                    view.pop(d, None)
-                    vanished.append(d)
-                else:
-                    view[d] = c
-                    offers.append((d, c))
+    costs, record, poisoned = adv.vector.costs, adv.vector.record, adv.poisoned
     mine = via.get(from_)
     if mine is None:
         mine = via[from_] = set()
-    if offers is None:
-        view = vec.costs.copy()
-        for d in poisoned:
-            view[d] = inf
-        table.heard[from_] = view
-        offers = view.items()
+    last = table.heard.get(from_)
+    offered = None
+    if last is not None:
+        seen, risen_then = last
+        if (risen_then is table.risen and seen.vector.record is record
+                and poisoned == seen.poisoned):
+            return False
+        dests = set(poisoned)
+        dests ^= seen.poisoned
+        if _since(table.risen, risen_then, dests) and _since(record, seen.vector.record, dests):
+            offered, vanished = dests, []
+    if offered is None:
         # Only an entry routed via the advertiser can vanish with its vector.
-        vanished = [d for d in mine if d not in view]
+        offered, vanished = costs, [d for d in mine if d not in costs]
     changed_dests = table.changed
     changed = False
     risen = []
-    for dest, cost in offers:
+    for dest in offered:
         if dest == owner:
             continue  # the self-entry is permanent
+        cost = inf if dest in poisoned else costs.get(dest)
+        if cost is None:
+            vanished.append(dest)
+            continue
         candidate = cost + 1 if cost < inf else inf
         entry = entries.get(dest)
         if entry is None:
@@ -321,7 +314,7 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
             risen.append(dest)
     if risen:
         _note_rise(table, risen)
-    table.relaxed_at[from_] = (table.risen, vec.record, poisoned)
+    table.heard[from_] = (adv, table.risen)
     return changed or bool(risen)
 
 
@@ -339,7 +332,6 @@ def handle_withdraw(table: RoutingTable, leaving: int) -> bool:
     entries propagate the news.
     """
     table.heard.pop(leaving, None)
-    table.relaxed_at.pop(leaving, None)
     entries = table.entries
     risen = []
     entry = entries.get(leaving)
@@ -360,15 +352,22 @@ def handle_withdraw(table: RoutingTable, leaving: int) -> bool:
 
 
 def next_hops(table: RoutingTable, dest: int, links: tuple[int, ...]) -> list[int]:
-    """Linked neighbours whose advertised cost + 1 is the table's cost to ``dest``.
+    """Linked neighbours whose last advertised cost + 1 is the table's cost to ``dest``.
 
     Falls back to the entry's own next hop while it is still linked.
     """
     entry = table.entries.get(dest)
-    if entry is None or entry.cost >= table.inf:
+    inf = table.inf
+    if entry is None or entry.cost >= inf:
         return []
-    heard = table.heard
-    hops = [m for m in links if m in heard and heard[m].get(dest, table.inf) + 1 == entry.cost]
+    hops = []
+    for m in links:
+        last = table.heard.get(m)
+        if last is not None:
+            adv = last[0]
+            cost = inf if dest in adv.poisoned else adv.vector.costs.get(dest, inf)
+            if cost + 1 == entry.cost:
+                hops.append(m)
     if not hops and entry.next_hop in links:
         hops = [entry.next_hop]
     return hops

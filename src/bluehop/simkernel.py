@@ -49,6 +49,7 @@ class EventKind(Enum):
 _ACTIVE = NodeState.ACTIVE
 _SCATTERNET = LinkMode.SCATTERNET
 _ARRIVAL, _EXPIRY = EventKind.PACKET_ARRIVAL, EventKind.NEIGHBOR_EXPIRY
+_ACTION = EventKind.SCENARIO_ACTION
 _WITHDRAW, _ADVERTISEMENT = routing.MessageKind.WITHDRAW, routing.MessageKind.ADVERTISEMENT
 
 
@@ -108,20 +109,15 @@ class Frame:
     body: Body | None = None
 
 
-# Frame types as named in ``packet_lost`` trace records.
-_CTRL_FTYPE = {
+# Frame types as named in ``packet_lost`` trace records: by body type, and by
+# kind for control messages.
+_FTYPE = {
+    transport.DataPacket: "data",
+    transport.Ack: "ack",
     routing.MessageKind.ADVERTISEMENT: "adv",
     routing.MessageKind.WITHDRAW: "withdraw",
     routing.MessageKind.DISCOVERY_REQUEST: "disco",
 }
-
-
-def _ftype(body: Body) -> str:
-    if isinstance(body, transport.DataPacket):
-        return "data"
-    if isinstance(body, transport.Ack):
-        return "ack"
-    return _CTRL_FTYPE[body.kind]
 
 
 @dataclass
@@ -214,17 +210,18 @@ class Engine:
             self._rearm(EventKind.MOTION_UPDATE, MOTION_CADENCE_HUS, self._motion_seq)
         self._rearm(EventKind.ADVERTISEMENT_TIMER, self.t_adv, self._round_seq)
         for action in self.config.actions:
-            self.queue.schedule(0, action.time_hus, EventKind.SCENARIO_ACTION, action)
+            self.queue.schedule(0, action.time_hus, _ACTION, action)
+        # Each flow is one event that re-arms itself for its next repetition
+        # under a number taken here, in file order after the actions, so at
+        # one instant flows run after the actions and before every event the
+        # run schedules, in the order queueing each repetition here gave.
         for spec in self.config.traffic:
-            for k in range(spec.count):
-                t = spec.time_hus + k * spec.interval_hus
-                if t > self.horizon:
-                    break
-                self.queue.schedule(0, t, EventKind.SCENARIO_ACTION, spec)
+            seq = self.queue.reserve()
+            self.queue.rearm(spec.time_hus, seq, _ACTION, spec, 0, seq)
 
-    def _rearm(self, kind: EventKind, period: int, sequence: int) -> None:
+    def _rearm(self, kind: EventKind, period: int, sequence: int, *args) -> None:
         if self.now + period <= self.horizon:
-            self.queue.rearm(self.now + period, sequence, kind)
+            self.queue.rearm(self.now + period, sequence, kind, *args)
 
     def run(self, until: int | None = None):
         """Advance the run to ``until`` (default: the horizon). Resumable."""
@@ -398,18 +395,12 @@ class Engine:
                 rt.queued_advs.discard(to)
                 body = frame.body = routing.make_advertisement(rt.table, to)
             if self.world[n].state is not _ACTIVE:
-                self._emit(
-                    "packet_lost", n, {"to": to, "ftype": _ftype(body), "where": "sender_inactive"}
-                )
+                self._lost(n, "to", to, body, "sender_inactive")
                 continue
             if self.mode is _SCATTERNET:
                 link = self.net.link_piconet(n, to)
                 if link is None:
-                    self._emit(
-                        "packet_lost",
-                        n,
-                        {"to": to, "ftype": _ftype(body), "where": "no_slot_grant"},
-                    )
+                    self._lost(n, "to", to, body, "no_slot_grant")
                     continue
                 pid, parity = link
                 start = baseband.next_tx_start_hus(now, parity)
@@ -432,6 +423,11 @@ class Engine:
             self._emit(kind, n, detail)
             self.queue.schedule(now, rt.busy_until, _ARRIVAL, frame)
             return
+
+    def _lost(self, n: int, side: str, peer: int, body: Body, where: str) -> None:
+        """Trace a frame lost at ``n``; ``side`` ("to" or "from") names its peer."""
+        ftype = _FTYPE[body.kind if type(body) is routing.ControlMessage else type(body)]
+        self._emit("packet_lost", n, {side: peer, "ftype": ftype, "where": where})
 
     # ---------------------------------------------------------- timers/churn
 
@@ -466,8 +462,11 @@ class Engine:
         self._emit("neighbor_expiry", n, {"neighbor": neighbor})
         self._forget_neighbor(n, neighbor)
 
-    def _on_scenario_action(self, spec: TrafficSpec | ActionSpec) -> None:
+    def _on_scenario_action(self, spec: TrafficSpec | ActionSpec, k: int = 0, seq: int = 0) -> None:
+        """Run an action, or send repetition ``k`` of a flow and re-arm the next."""
         if isinstance(spec, TrafficSpec):
+            if k + 1 < spec.count:
+                self._rearm(_ACTION, spec.interval_hus, seq, spec, k + 1, seq)
             self._send_message(spec.src, spec.dst, spec.payload_bytes)
         elif spec.action == "withdraw":
             self._withdraw(spec.node)
@@ -602,11 +601,7 @@ class Engine:
         if rt.txq and rt.busy_until <= self.now:
             self._try_service(sender, rt)
         if self.world[n].state is not _ACTIVE:
-            self._emit(
-                "packet_lost",
-                n,
-                {"from": sender, "ftype": _ftype(body), "where": "receiver_inactive"},
-            )
+            self._lost(n, "from", sender, body, "receiver_inactive")
             return
         linked = sender in self._links[n]
         body_type = type(body)
@@ -623,9 +618,7 @@ class Engine:
             else:
                 self._on_ctrl_disco(n, sender, body)
         elif not linked:
-            self._emit(
-                "packet_lost", n, {"from": sender, "ftype": _ftype(body), "where": "link_down"}
-            )
+            self._lost(n, "from", sender, body, "link_down")
         elif body_type is transport.DataPacket:
             self._on_data(n, sender, body)
         else:

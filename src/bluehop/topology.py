@@ -19,6 +19,10 @@ class NodeState(Enum):
     OFF = "off"
 
 
+# Read per pair on every relink; EnumType's ``__getattr__`` makes a class read slow.
+_ACTIVE = NodeState.ACTIVE
+
+
 @dataclass(frozen=True)
 class Position:
     x: float
@@ -44,7 +48,7 @@ def in_range(a: Node, b: Node) -> bool:
     The link rule is bidirectional: the distance must fall inside both radios'
     ranges, and both nodes must be active.
     """
-    if a.state is not NodeState.ACTIVE or b.state is not NodeState.ACTIVE:
+    if a.state is not _ACTIVE or b.state is not _ACTIVE:
         return False
     d = a.position.distance_to(b.position)
     return d <= a.range_m and d <= b.range_m

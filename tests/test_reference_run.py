@@ -11,18 +11,21 @@ together over whole runs. The reference run
 - arms one neighbour expiry check per refresh, each acting only if nothing
   was heard since, instead of one live check per pair that re-arms itself;
 - services a sender's radio on every enqueue and every arrival, busy or idle,
-  full queue or empty, instead of only when it can send.
+  full queue or empty, instead of only when it can send;
+- queues every repetition of every traffic flow at set-up, instead of one
+  event per flow that re-arms itself for the next repetition.
 """
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from bluehop import routing, scenario_path, transport
-from bluehop.scenario import parse_scenario, validate_scenario
+from bluehop.scenario import TrafficSpec, parse_scenario, validate_scenario
 from bluehop.simkernel import NEIGHBOR_MISS_BUDGET, Engine, EventKind
 from bluehop.topology import NodeState
 
@@ -43,6 +46,7 @@ def all_reference():
     )
     seal_key = transport._seal_key.__wrapped__
     try_service, on_arrival = Engine._try_service, Engine._on_arrival
+    start, on_action = Engine._start, Engine._on_scenario_action
 
     def make_from_table(table, to_neighbor):
         used["make"] += 1
@@ -51,7 +55,7 @@ def all_reference():
 
     def process_full_pass(table, from_, adv):
         used["process"] += 1
-        table.relaxed_at.pop(from_, None)
+        table.heard.pop(from_, None)
         return process(table, from_, adv)
 
     def relink_everyone(engine, changed):
@@ -98,6 +102,27 @@ def all_reference():
         engine._try_service(frame.sender, engine.runtimes[frame.sender])
         on_arrival(engine, frame)
 
+    def start_queueing_every_repetition(engine):
+        config = engine.config
+        engine.config = dataclasses.replace(config, traffic=[])
+        try:
+            start(engine)
+        finally:
+            engine.config = config
+        for spec in config.traffic:
+            for k in range(spec.count):
+                t = spec.time_hus + k * spec.interval_hus
+                if t > engine.horizon:
+                    break
+                engine.queue.schedule(0, t, EventKind.SCENARIO_ACTION, spec)
+
+    def act_once(engine, spec):
+        if isinstance(spec, TrafficSpec):
+            used["traffic"] += 1
+            engine._send_message(spec.src, spec.dst, spec.payload_bytes)
+        else:
+            on_action(engine, spec)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(routing, "make_advertisement", make_from_table)
         mp.setattr(routing, "process_advertisement", process_full_pass)
@@ -108,6 +133,8 @@ def all_reference():
         mp.setattr(Engine, "_try_service", service_unless_busy)
         mp.setattr(Engine, "_enqueue_frame", enqueue_and_service)
         mp.setattr(Engine, "_on_arrival", service_and_arrive)
+        mp.setattr(Engine, "_start", start_queueing_every_repetition)
+        mp.setattr(Engine, "_on_scenario_action", act_once)
         yield used
 
 
@@ -148,4 +175,4 @@ def test_fuzzed_runs(config):
 def test_every_switch_reaches_the_engine():
     with all_reference() as used:
         Engine(parse_scenario(scenario_path("diamond_failover.json")), 0).run()
-    assert set(used) == {"make", "process", "relink", "seal", "expiry", "radio"}
+    assert set(used) == {"make", "process", "relink", "seal", "expiry", "radio", "traffic"}

@@ -687,9 +687,10 @@ def test_change_records_reach_back_no_further_than_their_depth():
     assert _chain_length(sender.vector.record) == CHANGE_DEPTH
     assert _chain_length(sender.risen) == CHANGE_DEPTH
     assert _chain_length(receiver.risen) == CHANGE_DEPTH
-    # Besides its own two chains, the sender keeps the record of the last
-    # vector it relaxed, and the receiver keeps the sender's vector chain.
+    # Besides its own two chains, the sender keeps node 2's last
+    # advertisement, whose vector has one record, and the receiver keeps the
+    # sender's last advertisement, whose vector holds the sender's chain.
     assert _reachable(sender, ChangeRecord) == 2 * CHANGE_DEPTH + 1
     assert _reachable(receiver, ChangeRecord) == 2 * CHANGE_DEPTH
-    assert _reachable(sender, Vector) == 1
-    assert _reachable(receiver, Vector) == 0
+    assert _reachable(sender, Vector) == 2
+    assert _reachable(receiver, Vector) == 1

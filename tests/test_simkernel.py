@@ -121,6 +121,21 @@ class TestPeriodicTimers:
         # frame on air and one expiry check per neighbour.
         assert len(engine.queue) < 50
 
+    def test_queue_after_setup_does_not_grow_with_a_flows_count(self):
+        config = validate_scenario(
+            {
+                "horizon": 1.0,
+                "nodes": [{"id": i, "x": 5.0 * i, "y": 0.0, "class": 3} for i in range(2)],
+                "traffic": [{"time": 0.5, "src": 0, "dst": 1, "payload_bytes": 20,
+                             "count": 100_000, "interval": 0}],
+            }
+        )
+        engine = Engine(config, 0)
+        engine.run(until=0)
+        # The advertisement round, one frame on air per node, one expiry check
+        # per neighbour and one event for the whole flow.
+        assert len(engine.queue) < 10
+
     def test_one_instant_runs_motion_then_round_then_scenario_events(self):
         config = validate_scenario(
             {
