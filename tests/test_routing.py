@@ -563,13 +563,10 @@ def test_delta_relaxation_matches_full_pass(data):
     ref_heard = {i: {} for i in range(n)}
     costs = st.integers(0, inf)
 
-    def relax(b, a, adv):
+    def deliver(a, b, adv):
         want = ref_process(refs[b], b, inf, a, adv.entries)
         assert process_advertisement(tables[b], a, adv) == want
         ref_heard[b][a] = dict(adv.entries)
-
-    def deliver(a, b, adv):
-        relax(b, a, adv)
 
     def send(a, b, history):
         adv = make_advertisement(tables[a], b)
@@ -578,7 +575,7 @@ def test_delta_relaxation_matches_full_pass(data):
         deliver(a, b, adv)
 
     def hear_outsider(b, entries):
-        relax(b, n, advert(n, entries))
+        deliver(n, b, advert(n, entries))
 
     for _ in range(data.draw(st.integers(1, 40), label="steps")):
         step = data.draw(
@@ -623,7 +620,7 @@ def test_delta_relaxation_matches_full_pass(data):
             builds = data.draw(st.lists(st.booleans(), min_size=length, max_size=length))
             for k, build in enumerate(builds):
                 entries = ((n, 0), (d if k < 2 else n + 1, hi if k % 2 else lo))
-                relax(at, n, advert(n, tuple(sorted(entries))))
+                deliver(n, at, advert(n, tuple(sorted(entries))))
                 if build:
                     built = make_advertisement(tables[at], other)
                     assert built.entries == ref_advertisement(refs[at], at, inf, other)
