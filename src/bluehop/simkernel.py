@@ -121,16 +121,22 @@ _FTYPE = {
 
 
 @dataclass
-class NodeRuntime:
-    """Per-node radio, liveness and reassembly state; routing state lives in ``table``."""
+class Radio:
+    """A node's transmitter: its queue, queued frames per neighbour and airtime end."""
 
-    table: routing.RoutingTable
-    # When each known neighbour was last heard; forgetting it removes the entry.
-    last_heard: dict[int, int] = field(default_factory=dict)
     txq: deque = field(default_factory=deque)
     busy_until: int = 0
     queued_advs: set[int] = field(default_factory=set)
     queue_depth: dict[int, int] = field(default_factory=dict)
+
+
+@dataclass
+class NodeRuntime:
+    """Per-node protocol state, rebuilt at every power-on."""
+
+    table: routing.RoutingTable
+    # Neighbours heard since power-on and not forgotten since.
+    known: set[int] = field(default_factory=set)
     reassembly: dict[int, dict[int, bytes]] = field(default_factory=dict)
 
 
@@ -164,6 +170,7 @@ class Engine:
         self.world: dict[int, Node] = {}
         self.net: Scatternet | None = None
         self.runtimes: dict[int, NodeRuntime] = {}
+        self.radios: dict[int, Radio] = {}
         self._links: dict[int, tuple[int, ...]] = {}
         # Rebuilt at each formation: each piconet's hop sequence, by piconet
         # id, and the neighbours each node holds a link map entry for.
@@ -185,13 +192,12 @@ class Engine:
         # The in-range graph, re-tested only for the pairs a change touches.
         self.near: dict[int, set[int]] = {n: set() for n in self._ids}
         # Neighbour expiry keeps one live check per (node, neighbour) pair.
-        # ``_heard_at[n][m]`` is (instant of the latest refresh, sequence number
-        # of the first refresh at that instant): a silent neighbour expires at
-        # (instant + _expiry_hus, number), the key the first check armed at
-        # that instant would hold if every refresh armed its own. Both maps
-        # outlive forgets and reboots, as queued checks do.
-        self._heard_at: dict[int, dict[int, tuple[int, int]]] = {n: {} for n in self._ids}
-        self._expiring: dict[int, set[int]] = {n: set() for n in self._ids}
+        # ``liveness[n][m]`` is (instant of the latest refresh, number of the
+        # first refresh at that instant, whether a check is queued): a silent
+        # neighbour expires at (instant + _expiry_hus, number), the key the
+        # first check armed at that instant would hold if every refresh armed
+        # its own. It outlives forgets and reboots, as queued checks do.
+        self.liveness: dict[int, dict[int, tuple[int, int, bool]]] = {n: {} for n in self._ids}
 
     # ------------------------------------------------------------------ setup
 
@@ -318,6 +324,7 @@ class Engine:
     def _init_node_routing(self, n: int) -> None:
         neighbors = self.links(n)
         self.runtimes[n] = NodeRuntime(table=routing.init_routing(n, neighbors, self.inf))
+        self.radios[n] = Radio()  # known fault: drops queued frames, forgets the airtime
         for m in neighbors:
             self._refresh_neighbor(n, m)
             self._enqueue_adv(n, m)
@@ -329,21 +336,20 @@ class Engine:
         number it had when each refresh armed a check of its own.
         """
         now = self.now
-        self.runtimes[n].last_heard[neighbor] = now
+        self.runtimes[n].known.add(neighbor)
         seq = self.queue.reserve()
-        heard_at = self._heard_at[n]
-        stamp = heard_at.get(neighbor)
-        if stamp is None or stamp[0] != now:
-            stamp = heard_at[neighbor] = (now, seq)
-        expiring = self._expiring[n]
-        if neighbor not in expiring:
-            expiring.add(neighbor)
-            self.queue.rearm(now + self._expiry_hus, stamp[1], _EXPIRY, n, neighbor)
+        pairs = self.liveness[n]
+        heard, first, queued = pairs.get(neighbor) or (None, seq, False)
+        if heard != now:
+            first = seq
+        pairs[neighbor] = (now, first, True)
+        if not queued:
+            self.queue.rearm(now + self._expiry_hus, first, _EXPIRY, n, neighbor)
 
     def _enqueue_adv(self, n: int, to: int) -> None:
-        if to in self.runtimes[n].queued_advs:
+        if to in self.radios[n].queued_advs:
             return  # one queued advertisement per neighbour; content built at send
-        self.runtimes[n].queued_advs.add(to)
+        self.radios[n].queued_advs.add(to)
         self._enqueue_frame(Frame(n, to))
 
     def _broadcast_advs(self, n: int) -> None:
@@ -351,17 +357,16 @@ class Engine:
             self._enqueue_adv(n, m)
 
     def _enqueue_frame(self, frame: Frame) -> None:
-        rt = self.runtimes[frame.sender]
-        rt.txq.append(frame)
-        rt.queue_depth[frame.to] = rt.queue_depth.get(frame.to, 0) + 1
-        if rt.busy_until <= self.now:
-            self._try_service(frame.sender, rt)
+        radio = self.radios[frame.sender]
+        radio.txq.append(frame)
+        radio.queue_depth[frame.to] = radio.queue_depth.get(frame.to, 0) + 1
+        if radio.busy_until <= self.now:
+            self._try_service(frame.sender, radio)
 
     def _route_candidates(self, n: int, dest: int) -> list[tuple[int, int]]:
         """Minimal-cost next hops toward ``dest`` with their queue depths."""
-        rt = self.runtimes[n]
-        hops = routing.next_hops(rt.table, dest, self.links(n))
-        return [(m, rt.queue_depth.get(m, 0)) for m in hops]
+        hops = routing.next_hops(self.runtimes[n].table, dest, self.links(n))
+        return [(m, self.radios[n].queue_depth.get(m, 0)) for m in hops]
 
     def _trigger_discovery(self, n: int, target: int) -> None:
         self._emit("discovery", n, {"target": target})
@@ -372,28 +377,28 @@ class Engine:
     def _forget_neighbor(self, n: int, neighbor: int) -> None:
         """Drop a departed or silent neighbour and poison the routes through it."""
         rt = self.runtimes[n]
-        rt.last_heard.pop(neighbor, None)
+        rt.known.discard(neighbor)
         if routing.handle_withdraw(rt.table, neighbor):
             self._broadcast_advs(n)
 
     # ----------------------------------------------------------------- radio
 
-    def _try_service(self, n: int, rt: NodeRuntime) -> None:
+    def _try_service(self, n: int, radio: Radio) -> None:
         """Start the next queued transmission of ``n``, whose radio is idle.
 
         Callers check ``busy_until <= now`` first; a busy radio is serviced by
         the arrival that ends its airtime.
         """
         now = self.now
-        while rt.txq:
-            frame = rt.txq.popleft()
+        while radio.txq:
+            frame = radio.txq.popleft()
             to, body = frame.to, frame.body
-            rt.queue_depth[to] -= 1
+            radio.queue_depth[to] -= 1
             if body is None:
                 # Content is built at transmission time so a queued triggered
                 # advertisement always carries the latest table.
-                rt.queued_advs.discard(to)
-                body = frame.body = routing.make_advertisement(rt.table, to)
+                radio.queued_advs.discard(to)
+                body = frame.body = routing.make_advertisement(self.runtimes[n].table, to)
             if self.world[n].state is not _ACTIVE:
                 self._lost(n, "to", to, body, "sender_inactive")
                 continue
@@ -419,9 +424,9 @@ class Engine:
                 slots, kind, detail = 1, "ctrl_sent", {"to": to, "ctrl": body.kind._value_}
             if channel is not None:
                 detail["channel"] = channel
-            rt.busy_until = start + baseband.tx_duration_hus(slots)
+            radio.busy_until = start + baseband.tx_duration_hus(slots)
             self._emit(kind, n, detail)
-            self.queue.schedule(now, rt.busy_until, _ARRIVAL, frame)
+            self.queue.schedule(now, radio.busy_until, _ARRIVAL, frame)
             return
 
     def _lost(self, n: int, side: str, peer: int, body: Body, where: str) -> None:
@@ -447,17 +452,18 @@ class Engine:
 
     def _on_neighbor_expiry(self, n: int, neighbor: int) -> None:
         """Expire a silent neighbour, or re-arm the pair's check at its next due time."""
-        heard = self.runtimes[n].last_heard.get(neighbor)
-        if heard is None or self.world[n].state is not _ACTIVE:
+        pairs = self.liveness[n]
+        heard, first, _ = pairs[neighbor]
+        if neighbor not in self.runtimes[n].known or self.world[n].state is not _ACTIVE:
             # Forgotten or powered off: the next refresh arms a new check.
-            self._expiring[n].discard(neighbor)
+            pairs[neighbor] = (heard, first, False)
             return
         due = heard + self._expiry_hus
         if due > self.now:
             # Refreshed since this check was armed.
-            self.queue.rearm(due, self._heard_at[n][neighbor][1], _EXPIRY, n, neighbor)
+            self.queue.rearm(due, first, _EXPIRY, n, neighbor)
             return
-        self._expiring[n].discard(neighbor)
+        pairs[neighbor] = (heard, first, False)
         # A silent neighbour is treated exactly like a withdraw from it.
         self._emit("neighbor_expiry", n, {"neighbor": neighbor})
         self._forget_neighbor(n, neighbor)
@@ -597,9 +603,9 @@ class Engine:
 
     def _on_arrival(self, frame: Frame) -> None:
         n, sender, body = frame.to, frame.sender, frame.body
-        rt = self.runtimes[sender]
-        if rt.txq and rt.busy_until <= self.now:
-            self._try_service(sender, rt)
+        radio = self.radios[sender]
+        if radio.txq and radio.busy_until <= self.now:
+            self._try_service(sender, radio)
         if self.world[n].state is not _ACTIVE:
             self._lost(n, "from", sender, body, "receiver_inactive")
             return

@@ -10,6 +10,8 @@ together over whole runs. The reference run
 - recomputes every seal keystream (no memo);
 - arms one neighbour expiry check per refresh, each acting only if nothing
   was heard since, instead of one live check per pair that re-arms itself;
+  it keeps its own last-heard instants and never reads the engine's
+  ``liveness`` records;
 - services a sender's radio on every enqueue and every arrival, busy or idle,
   full queue or empty, instead of only when it can send;
 - queues every repetition of every traffic flow at set-up, instead of one
@@ -47,6 +49,7 @@ def all_reference():
     seal_key = transport._seal_key.__wrapped__
     try_service, on_arrival = Engine._try_service, Engine._on_arrival
     start, on_action = Engine._start, Engine._on_scenario_action
+    last_heard = {}  # (engine, node, neighbour) -> instant of the latest refresh
 
     def make_from_table(table, to_neighbor):
         used["make"] += 1
@@ -68,7 +71,8 @@ def all_reference():
 
     def refresh_arming_a_check(engine, n, neighbor):
         used["expiry"] += 1
-        engine.runtimes[n].last_heard[neighbor] = engine.now
+        engine.runtimes[n].known.add(neighbor)
+        last_heard[engine, n, neighbor] = engine.now
         engine.queue.schedule(
             engine.now,
             engine.now + NEIGHBOR_MISS_BUDGET * engine.t_adv,
@@ -80,26 +84,27 @@ def all_reference():
     def expire_if_unheard_since(engine, n, neighbor):
         if engine.world[n].state is not NodeState.ACTIVE:
             return
-        heard = engine.runtimes[n].last_heard.get(neighbor)
-        if heard is None or heard + NEIGHBOR_MISS_BUDGET * engine.t_adv > engine.now:
+        if neighbor not in engine.runtimes[n].known:
+            return
+        if last_heard[engine, n, neighbor] + NEIGHBOR_MISS_BUDGET * engine.t_adv > engine.now:
             return
         engine._emit("neighbor_expiry", n, {"neighbor": neighbor})
         engine._forget_neighbor(n, neighbor)
 
-    def service_unless_busy(engine, n, rt):
-        if rt.busy_until <= engine.now:
-            try_service(engine, n, rt)
+    def service_unless_busy(engine, n, radio):
+        if radio.busy_until <= engine.now:
+            try_service(engine, n, radio)
 
     def enqueue_and_service(engine, frame):
         used["radio"] += 1
-        rt = engine.runtimes[frame.sender]
-        rt.txq.append(frame)
-        rt.queue_depth[frame.to] = rt.queue_depth.get(frame.to, 0) + 1
-        engine._try_service(frame.sender, rt)
+        radio = engine.radios[frame.sender]
+        radio.txq.append(frame)
+        radio.queue_depth[frame.to] = radio.queue_depth.get(frame.to, 0) + 1
+        engine._try_service(frame.sender, radio)
 
     def service_and_arrive(engine, frame):
         used["radio"] += 1
-        engine._try_service(frame.sender, engine.runtimes[frame.sender])
+        engine._try_service(frame.sender, engine.radios[frame.sender])
         on_arrival(engine, frame)
 
     def start_queueing_every_repetition(engine):

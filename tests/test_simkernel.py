@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from bluehop.simkernel import (
 from bluehop.topology import Node, NodeState, Position
 
 from conftest import advert, geometric_scenario
+from test_fuzz import scenarios
 from test_reference_run import all_reference
 
 
@@ -275,6 +277,23 @@ class TestExpiryChecks:
             _, reference = run_scenario(config, 0)
         assert reference == trace
 
+    @settings(max_examples=20, deadline=None)
+    @given(scenarios())
+    def test_each_pair_has_its_queued_flag_and_at_most_one_check(self, config):
+        engine = Engine(config, 0)
+        step = config.horizon_hus // 10 + 1
+        for until in range(0, config.horizon_hus + step, step):
+            engine.run(until=until)
+            checks = Counter(e.args for e in engine.queue.heap if e.kind is EventKind.NEIGHBOR_EXPIRY)
+            flagged = {
+                (n, m) for n, pairs in engine.liveness.items()
+                for m, (_, _, queued) in pairs.items() if queued
+            }
+            assert checks == dict.fromkeys(flagged, 1)
+            for n, rt in engine.runtimes.items():
+                if engine.world[n].state is NodeState.ACTIVE:
+                    assert {(n, m) for m in rt.known} <= flagged
+
 
 class TestDeliveryPaths:
     def test_relay_scenario_hop_trace(self):
@@ -527,7 +546,7 @@ def _reboot_mid_transfer():
     return run_scenario(config, 0)[1]
 
 
-# Known faults of the power-off rule: a reboot replaces the node's runtime,
+# Known faults of the power-off rule: a reboot replaces the node's radio record,
 # dropping its transmit queue and its busy-until time. Fixing them changes
 # traces, so they are pinned here until the reboot rework lands.
 _REBOOT_FAULT = "ROADMAP item 5: a reboot drops the tx queue and the frame on air survives"
