@@ -1,22 +1,21 @@
 """Mutation check: every named mutant of the package must fail its tests.
 
-    python3 tools/mutants.py [--check] [NAME ...]
+    python3 tools/mutants.py
 
 A mutant is one exact text edit to one module of ``src/bluehop``, together
 with the tests expected to kill it. For each mutant this script copies
 ``src/`` to a temporary directory, applies the edit to the copy and runs the
 mutant's tests against it in one pytest process, with Hypothesis's example
 database off, so a kill is never replayed from an earlier failure. Mutants run
-one at a time; the repository itself is never edited.
+one at a time; the repository itself is never edited, and Hypothesis's files
+(the patches it writes for failing examples) stay in the temporary directory.
 
 It exits 1 when a mutant's old text does not occur exactly once in its module
 (the code moved on and the mutant must be rewritten), or when a mutant
-survives (every one of its tests passes). ``--check`` checks only the texts.
-Names select a subset of the mutants.
+survives (every one of its tests passes).
 """
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -142,7 +141,8 @@ MUTANTS = (
         "liveness-reset-at-power-on", "simkernel.py",
         "        self.radios[n] = Radio()",
         "        self.liveness[n] = {}\n        self.radios[n] = Radio()",
-        (f"{EXPIRY}::test_each_pair_has_its_queued_flag_and_at_most_one_check",),
+        (f"{EXPIRY}::test_each_pair_has_its_queued_flag_and_at_most_one_check",
+         f"{EXPIRY}::test_reboot_at_the_instant_of_a_refresh_keeps_the_expiry_order"),
     ),
     # A radio is serviced only when it can send.
     Mutant(
@@ -154,9 +154,10 @@ MUTANTS = (
 )
 
 # Runs in the pytest process. Before any test module builds its settings, it
-# loads a Hypothesis profile with no example database and no shrinking (a kill
-# needs only the failure), and checks that the mutated copy is the package
-# under test.
+# loads a Hypothesis profile with no example database, no shrinking (a kill
+# needs only the failure) and derandomized generation, so every run draws the
+# same examples and a kill never rests on luck. It also checks that the
+# mutated copy is the package under test.
 _BOOT = """
 import sys
 import pytest
@@ -164,7 +165,8 @@ import pytest
 class Mutant:
     def pytest_configure(self, config):
         from hypothesis import Phase, settings
-        settings.register_profile("mutant", database=None, phases=[Phase.explicit, Phase.generate])
+        settings.register_profile(
+            "mutant", database=None, derandomize=True, phases=[Phase.explicit, Phase.generate])
         settings.load_profile("mutant")
         import bluehop
         if not bluehop.__file__.startswith(sys.argv[1]):
@@ -174,10 +176,10 @@ sys.exit(pytest.main(["-q", "-x", "-p", "no:cacheprovider", *sys.argv[2:]], plug
 """
 
 
-def text_errors(mutants=MUTANTS) -> list[str]:
+def text_errors() -> list[str]:
     """One line per mutant whose old text does not occur exactly once."""
     errors = []
-    for m in mutants:
+    for m in MUTANTS:
         count = (ROOT / "src" / "bluehop" / m.module).read_text().count(m.old)
         if count != 1:
             errors.append(f"{m.name}: old text occurs {count} times in {m.module}")
@@ -191,7 +193,8 @@ def run_mutant(m: Mutant) -> tuple[bool, str]:
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         path = src / "bluehop" / m.module
         path.write_text(path.read_text().replace(m.old, m.new))
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   HYPOTHESIS_STORAGE_DIRECTORY=str(Path(tmp) / ".hypothesis"))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", _BOOT, str(src), *m.tests],
@@ -204,31 +207,21 @@ def run_mutant(m: Mutant) -> tuple[bool, str]:
     return proc.returncode == 1, last
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true", help="only check that every mutant applies")
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    errors = text_errors(chosen)
+def main() -> int:
+    errors = text_errors()
     for line in errors:
         print(f"stale: {line}")
-    if errors or args.check:
-        return 1 if errors else 0
     survivors = []
     start = time.perf_counter()
-    for m in chosen:
+    for m in MUTANTS:
         t0 = time.perf_counter()
         killed, last = run_mutant(m)
         print(f"{'killed  ' if killed else 'SURVIVED'} {m.name} ({time.perf_counter() - t0:.1f} s): {last}")
         if not killed:
             survivors.append(m.name)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed "
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.1f} s")
-    return 1 if survivors else 0
+    return 1 if errors or survivors else 0
 
 
 if __name__ == "__main__":
