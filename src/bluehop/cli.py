@@ -8,6 +8,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -76,14 +77,44 @@ def trace_line(record: dict) -> str:
     )
 
 
-def _write_outputs(out_dir: Path, engine: Engine) -> None:
+class _TraceWriter:
+    """The engine's trace sink for ``bluehop run``: each record becomes its
+    trace line in ``fh`` as it is emitted, and only the count is kept."""
+
+    def __init__(self, fh) -> None:
+        self._write = fh.write
+        self._count = 0
+
+    def append(self, record: dict) -> None:
+        self._write(trace_line(record))
+        self._count += 1
+
+    def __len__(self) -> int:
+        return self._count
+
+
+def _run_seed(config, seed: int, out_dir: Path) -> None:
+    """One run into ``out_dir``. The trace streams to a temporary name that
+    becomes ``trace.ndjson`` only once the run and the other artifacts are
+    written, so a run that fails leaves no partial trace behind."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    partial = out_dir / "trace.ndjson.part"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            engine = Engine(config, seed, _TraceWriter(fh))
+            engine.run()
+        _write_outputs(out_dir, engine)
+        os.replace(partial, out_dir / "trace.ndjson")
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def _write_outputs(out_dir: Path, engine: Engine) -> None:
+    """``report.json`` and ``deliveries.csv``, both from the run's online metrics."""
     report = summarize(engine.metrics)
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    with open(out_dir / "trace.ndjson", "w", encoding="utf-8") as fh:
-        fh.writelines(map(trace_line, engine.trace))
     with open(out_dir / "deliveries.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
         writer.writeheader()
@@ -111,10 +142,7 @@ def _cmd_run(args) -> int:
     seeds = args.seeds or [args.seed or 0]
     base = Path(args.out)
     for seed in seeds:
-        engine = Engine(config, seed)
-        engine.run()
-        out_dir = base / f"seed-{seed}" if len(seeds) > 1 else base
-        _write_outputs(out_dir, engine)
+        _run_seed(config, seed, base / f"seed-{seed}" if len(seeds) > 1 else base)
     return 0
 
 

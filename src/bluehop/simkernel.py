@@ -150,9 +150,14 @@ def _t_us(t_hus: int):
 
 
 class Engine:
-    """One simulation run: world, protocol state, queue, metrics and trace."""
+    """One simulation run: world, protocol state, queue, metrics and trace.
 
-    def __init__(self, config: ScenarioConfig, seed: int):
+    ``trace`` is where the run appends its records: any object with
+    ``append(record)`` and ``__len__`` (each record's ``seq`` is the sink's
+    length before it), by default a fresh list that holds the whole trace.
+    """
+
+    def __init__(self, config: ScenarioConfig, seed: int, trace=None):
         self.config = config
         self.seed = seed
         self.mode = config.link_mode
@@ -165,7 +170,7 @@ class Engine:
         self.horizon = config.horizon_hus
         self.now = 0
         self.queue = EventQueue()
-        self.trace: list[dict] = []
+        self.trace = [] if trace is None else trace
         self.metrics = metrics.Metrics()
         self.world: dict[int, Node] = {}
         self.net: Scatternet | None = None

@@ -1,11 +1,17 @@
 import csv
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bluehop import scenario_path
 from bluehop.cli import TRACE_DETAIL, main, trace_line
+from bluehop.scenario import validate_scenario
+from bluehop.simkernel import Engine
+from test_fuzz import scenario_specs
 
 
 class TestRun:
@@ -43,6 +49,44 @@ class TestRun:
         assert main(["run", scenario_path("figure4.json"), "--seeds", "0..2", "--out", str(out)]) == 0
         for seed in range(3):
             assert (out / f"seed-{seed}" / "report.json").exists()
+
+
+class TestStreamedTrace:
+    @settings(max_examples=15, deadline=None)
+    @given(scenario_specs(), st.integers(0, 3))
+    def test_streamed_trace_equals_the_in_memory_trace(self, spec, first):
+        # Every kind the fuzz draws, the shared encoder's included, and a sweep.
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+            path.write_text(json.dumps(spec))
+            assert main(["run", str(path), "--seeds", f"{first}..{first + 1}",
+                         "--out", str(out)]) == 0
+            config = validate_scenario(spec)
+            for seed in (first, first + 1):
+                _, trace = Engine(config, seed).run()
+                streamed = (out / f"seed-{seed}" / "trace.ndjson").read_text()
+                assert streamed == "".join(map(trace_line, trace))
+
+    def test_memory_stays_flat_with_the_horizon(self, tmp_path):
+        # A run holds no trace, so 4x the records (4,248 -> 16,848) must not
+        # take 4x the memory.
+        def peak(horizon):
+            scenario = tmp_path / "line.json"
+            scenario.write_text(json.dumps({
+                "horizon": horizon,
+                "protocol": {"t_adv": 0.01},
+                "nodes": [{"id": i, "x": 5 * i, "y": 0, "class": 3} for i in range(6)],
+            }))
+            tracemalloc.start()
+            try:
+                assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1.0)  # one-time allocations (imports, caches) land in this run
+        short, long = peak(1.0), peak(4.0)
+        assert long <= 1.5 * short, (short, long)
 
 
 class TestTablesAndTopo:
@@ -100,6 +144,22 @@ class TestExitCodes:
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the output directory should go")
         assert main(["run", scenario_path("figure4.json"), "--out", str(blocker)]) == 2
+
+    def test_runtime_error_mid_run_leaves_no_trace(self, tmp_path, monkeypatch):
+        rounds = []
+        adv_round = Engine._on_adv_round
+
+        def failing_round(engine):
+            rounds.append(engine.now)
+            if len(rounds) == 2:
+                raise RuntimeError("advertisement round failed")
+            adv_round(engine)
+
+        monkeypatch.setattr(Engine, "_on_adv_round", failing_round)
+        out = tmp_path / "out"
+        assert main(["run", scenario_path("figure4.json"), "--out", str(out)]) == 2
+        assert len(rounds) == 2
+        assert list(out.glob("*")) == []  # no trace, partial or whole, and no other artifact
 
     @pytest.mark.parametrize("seeds", ["3..1", "3", "a..b", "1..x"])
     def test_bad_seed_range_is_usage_error(self, seeds, tmp_path, capsys):

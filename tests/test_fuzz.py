@@ -10,7 +10,8 @@ from bluehop.simkernel import run_scenario
 
 
 @st.composite
-def scenarios(draw):
+def scenario_specs(draw):
+    """A scenario file's content: up to 10 nodes, traffic and power cycles."""
     n = draw(st.integers(2, 10))
     horizon_ms = draw(st.integers(200, 2000))
     ms = lambda lo=0, hi=horizon_ms: draw(st.integers(lo, hi)) / 1000
@@ -40,13 +41,18 @@ def scenarios(draw):
             {"time": off / 1000, "node": node, "action": "set_state", "state": "off"},
             {"time": on / 1000, "node": node, "action": "set_state", "state": "active"},
         ]
-    return validate_scenario({
+    return {
         "link_mode": draw(st.sampled_from(["geometric", "scatternet"])),
         "horizon": horizon_ms / 1000,
         "nodes": nodes,
         "traffic": traffic,
         "actions": actions,
-    })
+    }
+
+
+def scenarios():
+    """The validated configs of ``scenario_specs``."""
+    return scenario_specs().map(validate_scenario)
 
 
 def ref_deliveries(trace):

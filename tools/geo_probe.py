@@ -13,8 +13,11 @@ generator as the placement.
 Prints the wall time of the run, the trace record count, the ``ctrl_sent`` and
 ``data_tx`` counts, the delivery ratio, the process's peak RSS, the number of
 events still queued at the horizon and the sha256 of the trace as
-``bluehop run`` writes it. It is evidence for scale, not a
-benchmark gate: one run, on whatever host it runs on.
+``bluehop run`` writes it. The trace streams, as under ``bluehop run``: each
+record is formatted, hashed and counted as it is emitted and none is kept, so
+the peak RSS is the run's own and the wall time includes formatting and
+hashing the trace. It is evidence for scale, not a benchmark gate: one run, on
+whatever host it runs on.
 """
 from __future__ import annotations
 
@@ -60,6 +63,23 @@ def geo_scenario(nodes: int, side: float, horizon: float, mobile: bool, scattern
     }
 
 
+class DigestSink:
+    """A trace sink that keeps the sha256 of the trace lines and the count of each kind."""
+
+    def __init__(self) -> None:
+        self.digest = hashlib.sha256()
+        self.kinds: Counter[str] = Counter()
+        self._count = 0
+
+    def append(self, record: dict) -> None:
+        self.digest.update(trace_line(record).encode())
+        self.kinds[record["kind"]] += 1
+        self._count += 1
+
+    def __len__(self) -> int:
+        return self._count
+
+
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--nodes", type=int, default=100)
@@ -73,21 +93,17 @@ def main(argv: list[str] | None = None) -> None:
         geo_scenario(args.nodes, args.side, args.seconds, args.mobile, args.scatternet)
     )
     t0 = time.perf_counter()
-    engine = Engine(config, 0)
-    m, trace = engine.run()
+    engine = Engine(config, 0, DigestSink())
+    m, sink = engine.run()
     wall = time.perf_counter() - t0
-    digest = hashlib.sha256()
-    for record in trace:
-        digest.update(trace_line(record).encode())
-    kinds = Counter(r["kind"] for r in trace)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     ratio = m.delivered / m.messages_sent if m.messages_sent else 0.0
     print(
         f"geo{args.nodes}/{args.side:g}{' mobile' if args.mobile else ' static'}"
         f"{' scatternet' if args.scatternet else ''} {args.seconds:g}s:"
-        f" wall {wall:.2f} s, {len(trace)} records, ctrl_sent {kinds['ctrl_sent']},"
-        f" data_tx {kinds['data_tx']}, delivery {ratio:.2f}, peak RSS {rss_mb:.0f} MB,"
-        f" queued {len(engine.queue)}, trace sha256 {digest.hexdigest()}"
+        f" wall {wall:.2f} s, {len(sink)} records, ctrl_sent {sink.kinds['ctrl_sent']},"
+        f" data_tx {sink.kinds['data_tx']}, delivery {ratio:.2f}, peak RSS {rss_mb:.0f} MB,"
+        f" queued {len(engine.queue)}, trace sha256 {sink.digest.hexdigest()}"
     )
 
 

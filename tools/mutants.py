@@ -151,6 +151,18 @@ MUTANTS = (
         "        if radio.txq:\n",
         (GOLDEN_GALLERY,),
     ),
+    # `bluehop run` streams the trace: the writer's count is each record's
+    # seq, and a run that fails leaves no trace behind.
+    Mutant(
+        "trace-writer-count-starts-at-one", "cli.py",
+        "        self._count = 0\n", "        self._count = 1\n",
+        ("tests/test_cli.py::TestStreamedTrace::test_streamed_trace_equals_the_in_memory_trace",),
+    ),
+    Mutant(
+        "partial-trace-kept-on-failure", "cli.py",
+        "        partial.unlink(missing_ok=True)\n", "        pass\n",
+        ("tests/test_cli.py::TestExitCodes::test_runtime_error_mid_run_leaves_no_trace",),
+    ),
 )
 
 # Runs in the pytest process. Before any test module builds its settings, it
