@@ -79,18 +79,13 @@ def trace_line(record: dict) -> str:
 
 class _TraceWriter:
     """The engine's trace sink for ``bluehop run``: each record becomes its
-    trace line in ``fh`` as it is emitted, and only the count is kept."""
+    trace line in ``fh`` as it is emitted, and none is kept."""
 
     def __init__(self, fh) -> None:
         self._write = fh.write
-        self._count = 0
 
     def append(self, record: dict) -> None:
         self._write(trace_line(record))
-        self._count += 1
-
-    def __len__(self) -> int:
-        return self._count
 
 
 def _run_seed(config, seed: int, out_dir: Path) -> None:
@@ -121,12 +116,12 @@ def _write_outputs(out_dir: Path, engine: Engine) -> None:
         writer.writerows(engine.metrics.rows.values())
 
 
-def _seed_range(text: str) -> list[int]:
+def _seed_range(text: str) -> range:
     """Argument type of ``--seeds``: an inclusive integer range A..B with A <= B."""
     match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
     if match is None or int(match[1]) > int(match[2]):
         raise argparse.ArgumentTypeError(f"expected integers A..B with A <= B, got {text!r}")
-    return list(range(int(match[1]), int(match[2]) + 1))
+    return range(int(match[1]), int(match[2]) + 1)
 
 
 def _sim_seconds(text: str) -> float:

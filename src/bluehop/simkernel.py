@@ -16,6 +16,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 from typing import NamedTuple
 
 from . import baseband, metrics, routing, scatternet, topology, transport
@@ -100,15 +101,6 @@ class EventQueue:
 Body = routing.ControlMessage | transport.DataPacket | transport.Ack
 
 
-@dataclass
-class Frame:
-    """One queued transmission; a None body is an advertisement built at send time."""
-
-    sender: int
-    to: int
-    body: Body | None = None
-
-
 # Frame types as named in ``packet_lost`` trace records: by body type, and by
 # kind for control messages.
 _FTYPE = {
@@ -122,12 +114,13 @@ _FTYPE = {
 
 @dataclass
 class Radio:
-    """A node's transmitter: its queue, queued frames per neighbour and airtime end."""
+    """A node's transmitter: its queue of (neighbour, body) frames, where a None
+    body is an advertisement built at send time, the neighbours that have one
+    queued, and the end of its airtime."""
 
-    txq: deque = field(default_factory=deque)
+    txq: deque[tuple[int, Body | None]] = field(default_factory=deque)
     busy_until: int = 0
     queued_advs: set[int] = field(default_factory=set)
-    queue_depth: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -152,9 +145,9 @@ def _t_us(t_hus: int):
 class Engine:
     """One simulation run: world, protocol state, queue, metrics and trace.
 
-    ``trace`` is where the run appends its records: any object with
-    ``append(record)`` and ``__len__`` (each record's ``seq`` is the sink's
-    length before it), by default a fresh list that holds the whole trace.
+    ``trace`` is where the run appends its records, numbered from 0 in
+    ``seq``: any object with ``append(record)``, by default a fresh list that
+    holds the whole trace.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int, trace=None):
@@ -171,6 +164,7 @@ class Engine:
         self.now = 0
         self.queue = EventQueue()
         self.trace = [] if trace is None else trace
+        self._record_seq = count()
         self.metrics = metrics.Metrics()
         self.world: dict[int, Node] = {}
         self.net: Scatternet | None = None
@@ -261,7 +255,7 @@ class Engine:
         t = self.now
         record = {
             "t_us": t // 2 if t % 2 == 0 else t / 2,  # _t_us, inlined on the hot path
-            "seq": len(self.trace),
+            "seq": next(self._record_seq),
             "kind": kind,
             "node": node,
             "detail": detail or {},
@@ -355,29 +349,29 @@ class Engine:
         if to in self.radios[n].queued_advs:
             return  # one queued advertisement per neighbour; content built at send
         self.radios[n].queued_advs.add(to)
-        self._enqueue_frame(Frame(n, to))
+        self._enqueue_frame(n, to, None)
 
     def _broadcast_advs(self, n: int) -> None:
         for m in self.links(n):
             self._enqueue_adv(n, m)
 
-    def _enqueue_frame(self, frame: Frame) -> None:
-        radio = self.radios[frame.sender]
-        radio.txq.append(frame)
-        radio.queue_depth[frame.to] = radio.queue_depth.get(frame.to, 0) + 1
+    def _enqueue_frame(self, n: int, to: int, body: Body | None) -> None:
+        radio = self.radios[n]
+        radio.txq.append((to, body))
         if radio.busy_until <= self.now:
-            self._try_service(frame.sender, radio)
+            self._try_service(n, radio)
 
     def _route_candidates(self, n: int, dest: int) -> list[tuple[int, int]]:
-        """Minimal-cost next hops toward ``dest`` with their queue depths."""
+        """Minimal-cost next hops toward ``dest`` with the frames queued to each."""
         hops = routing.next_hops(self.runtimes[n].table, dest, self.links(n))
-        return [(m, self.radios[n].queue_depth.get(m, 0)) for m in hops]
+        txq = self.radios[n].txq
+        return [(m, sum(to == m for to, _ in txq)) for m in hops]
 
     def _trigger_discovery(self, n: int, target: int) -> None:
         self._emit("discovery", n, {"target": target})
         msg = routing.trigger_discovery(self.runtimes[n].table, target)
         for m in self.links(n):
-            self._enqueue_frame(Frame(n, m, msg))
+            self._enqueue_frame(n, m, msg)
 
     def _forget_neighbor(self, n: int, neighbor: int) -> None:
         """Drop a departed or silent neighbour and poison the routes through it."""
@@ -396,14 +390,12 @@ class Engine:
         """
         now = self.now
         while radio.txq:
-            frame = radio.txq.popleft()
-            to, body = frame.to, frame.body
-            radio.queue_depth[to] -= 1
+            to, body = radio.txq.popleft()
             if body is None:
                 # Content is built at transmission time so a queued triggered
                 # advertisement always carries the latest table.
                 radio.queued_advs.discard(to)
-                body = frame.body = routing.make_advertisement(self.runtimes[n].table, to)
+                body = routing.make_advertisement(self.runtimes[n].table, to)
             if self.world[n].state is not _ACTIVE:
                 self._lost(n, "to", to, body, "sender_inactive")
                 continue
@@ -431,7 +423,7 @@ class Engine:
                 detail["channel"] = channel
             radio.busy_until = start + baseband.tx_duration_hus(slots)
             self._emit(kind, n, detail)
-            self.queue.schedule(now, radio.busy_until, _ARRIVAL, frame)
+            self.queue.schedule(now, radio.busy_until, _ARRIVAL, n, to, body)
             return
 
     def _lost(self, n: int, side: str, peer: int, body: Body, where: str) -> None:
@@ -495,9 +487,7 @@ class Engine:
         msg = routing.ControlMessage(routing.MessageKind.WITHDRAW, origin=n)
         for m in neighbors:
             self._emit("ctrl_sent", n, {"to": m, "ctrl": "withdraw"})
-            self.queue.schedule(
-                self.now, self.now + baseband.SLOT_HUS, _ARRIVAL, Frame(n, m, msg)
-            )
+            self.queue.schedule(self.now, self.now + baseband.SLOT_HUS, _ARRIVAL, n, m, msg)
         self._apply_state(n, NodeState.OFF)
 
     def _apply_state(self, n: int, state: NodeState) -> None:
@@ -568,7 +558,7 @@ class Engine:
                 sealed_payload=piece,
                 slot_class=baseband.slots_for_payload(len(piece) * 8, self.bits_per_slot),
             )
-            self._enqueue_frame(Frame(transfer.src, first, pkt))
+            self._enqueue_frame(transfer.src, first, pkt)
         return True
 
     def _arm_ack_timer(self, transfer: transport.PendingTransfer) -> None:
@@ -606,8 +596,7 @@ class Engine:
 
     # --------------------------------------------------------------- arrival
 
-    def _on_arrival(self, frame: Frame) -> None:
-        n, sender, body = frame.to, frame.sender, frame.body
+    def _on_arrival(self, sender: int, n: int, body: Body) -> None:
         radio = self.radios[sender]
         if radio.txq and radio.busy_until <= self.now:
             self._try_service(sender, radio)
@@ -653,7 +642,7 @@ class Engine:
             return
         for m in self.links(n):
             if m != sender:
-                self._enqueue_frame(Frame(n, m, fwd))
+                self._enqueue_frame(n, m, fwd)
 
     def _on_data(self, n: int, sender: int, pkt: transport.DataPacket) -> None:
         pkt.hop_trace.append(n)
@@ -692,7 +681,7 @@ class Engine:
         if chosen is None:
             self._drop(n, body, "forward-failure")
         else:
-            self._enqueue_frame(Frame(n, chosen, body))
+            self._enqueue_frame(n, chosen, body)
 
     def _drop(self, n: int, body: transport.DataPacket | transport.Ack, cls: str) -> None:
         """Discard a data fragment or ack; a data drop also tags its transfer."""

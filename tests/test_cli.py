@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bluehop import scenario_path
-from bluehop.cli import TRACE_DETAIL, main, trace_line
+from bluehop.cli import TRACE_DETAIL, _seed_range, main, trace_line
 from bluehop.scenario import validate_scenario
 from bluehop.simkernel import Engine
 from test_fuzz import scenario_specs
@@ -49,6 +49,11 @@ class TestRun:
         assert main(["run", scenario_path("figure4.json"), "--seeds", "0..2", "--out", str(out)]) == 0
         for seed in range(3):
             assert (out / f"seed-{seed}" / "report.json").exists()
+
+    def test_seed_range_is_not_built_before_the_sweep(self):
+        # A sweep this long is never run; its seeds are not even listed.
+        seeds = _seed_range("0..99999999999")
+        assert (len(seeds), seeds[0], seeds[-1]) == (100_000_000_000, 0, 99_999_999_999)
 
 
 class TestStreamedTrace:

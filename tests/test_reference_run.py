@@ -95,17 +95,15 @@ def all_reference():
         if radio.busy_until <= engine.now:
             try_service(engine, n, radio)
 
-    def enqueue_and_service(engine, frame):
+    def enqueue_and_service(engine, n, to, body):
         used["radio"] += 1
-        radio = engine.radios[frame.sender]
-        radio.txq.append(frame)
-        radio.queue_depth[frame.to] = radio.queue_depth.get(frame.to, 0) + 1
-        engine._try_service(frame.sender, radio)
+        engine.radios[n].txq.append((to, body))
+        engine._try_service(n, engine.radios[n])
 
-    def service_and_arrive(engine, frame):
+    def service_and_arrive(engine, sender, n, body):
         used["radio"] += 1
-        engine._try_service(frame.sender, engine.radios[frame.sender])
-        on_arrival(engine, frame)
+        engine._try_service(sender, engine.radios[sender])
+        on_arrival(engine, sender, n, body)
 
     def start_queueing_every_repetition(engine):
         config = engine.config

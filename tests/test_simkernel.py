@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +105,14 @@ class TestKernelBasics:
         _, trace = run_scenario(config, 1)
         times = [r["t_us"] for r in trace]
         assert all(a <= b for a, b in zip(times, times[1:]))
+
+    def test_an_append_only_sink_gets_the_default_trace(self):
+        config = parse_scenario(scenario_path("diamond_failover.json"))
+        records = []
+        Engine(config, 0, SimpleNamespace(append=records.append)).run()
+        _, trace = run_scenario(config, 0)
+        assert records == trace
+        assert [r["seq"] for r in records] == list(range(len(records)))
 
 
 def _kinds_at(trace, t_us, kinds):
@@ -362,6 +371,25 @@ class TestDeliveryPaths:
         ]
         assert relay_payloads
         assert all(plaintext not in p for p in relay_payloads)
+
+    def test_first_hop_prefers_the_shorter_queue(self):
+        # A diamond 0 -> {1, 2} -> 3, its routes converged by t = 1 s. Two
+        # messages leave 0 at one instant: the first, of 3 fragments, takes 1
+        # (the lower id of two empty queues), so the second takes 2.
+        nodes = {0: (0.0, 0.0), 1: (6.0, 6.0), 2: (6.0, -6.0), 3: (12.0, 0.0)}
+        send = {"time": 1.05, "src": 0, "dst": 3}
+        config = geometric_scenario(
+            nodes, horizon=1.5,
+            traffic=[{**send, "payload_bytes": 875}, {**send, "payload_bytes": 20}],
+        )
+        _, trace = run_scenario(config, 0)
+        fragments = [r for r in trace if r["kind"] == "msg_send"]
+        assert [r["detail"]["fragments"] for r in fragments] == [3, 1]
+        first_tx = {}
+        for r in trace:
+            if r["kind"] == "data_tx" and r["node"] == 0:
+                first_tx.setdefault(r["detail"]["msg_id"], r["detail"]["to"])
+        assert first_tx == {0: 1, 1: 2}
 
     def test_rejected_when_source_not_active(self):
         config = validate_scenario(

@@ -69,15 +69,10 @@ class DigestSink:
     def __init__(self) -> None:
         self.digest = hashlib.sha256()
         self.kinds: Counter[str] = Counter()
-        self._count = 0
 
     def append(self, record: dict) -> None:
         self.digest.update(trace_line(record).encode())
         self.kinds[record["kind"]] += 1
-        self._count += 1
-
-    def __len__(self) -> int:
-        return self._count
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -101,7 +96,7 @@ def main(argv: list[str] | None = None) -> None:
     print(
         f"geo{args.nodes}/{args.side:g}{' mobile' if args.mobile else ' static'}"
         f"{' scatternet' if args.scatternet else ''} {args.seconds:g}s:"
-        f" wall {wall:.2f} s, {len(sink)} records, ctrl_sent {sink.kinds['ctrl_sent']},"
+        f" wall {wall:.2f} s, {sink.kinds.total()} records, ctrl_sent {sink.kinds['ctrl_sent']},"
         f" data_tx {sink.kinds['data_tx']}, delivery {ratio:.2f}, peak RSS {rss_mb:.0f} MB,"
         f" queued {len(engine.queue)}, trace sha256 {sink.digest.hexdigest()}"
     )

@@ -10,12 +10,15 @@ database off, so a kill is never replayed from an earlier failure. Mutants run
 one at a time; the repository itself is never edited, and Hypothesis's files
 (the patches it writes for failing examples) stay in the temporary directory.
 
-It exits 1 when a mutant's old text does not occur exactly once in its module
-(the code moved on and the mutant must be rewritten), or when a mutant
-survives (every one of its tests passes).
+It exits 1, before running any mutant, when a mutant's old text does not
+occur exactly once in its module (the code moved on and the mutant must be
+rewritten) or a test it names is not defined in its test file (read with
+``ast``, without running pytest); and it exits 1 when a mutant survives
+(every one of its tests passes).
 """
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -151,13 +154,22 @@ MUTANTS = (
         "        if radio.txq:\n",
         (GOLDEN_GALLERY,),
     ),
-    # `bluehop run` streams the trace: the writer's count is each record's
-    # seq, and a run that fails leaves no trace behind.
+    # Equal-cost next hops break ties by the frames queued to each.
     Mutant(
-        "trace-writer-count-starts-at-one", "cli.py",
-        "        self._count = 0\n", "        self._count = 1\n",
-        ("tests/test_cli.py::TestStreamedTrace::test_streamed_trace_equals_the_in_memory_trace",),
+        "route-candidates-ignore-queue-depth", "simkernel.py",
+        "        return [(m, sum(to == m for to, _ in txq)) for m in hops]\n",
+        "        return [(m, 0) for m in hops]\n",
+        ("tests/test_simkernel.py::TestDeliveryPaths::test_first_hop_prefers_the_shorter_queue",
+         "tests/test_golden.py::test_benchmark_pool_artifacts_match_pinned_digests"),
     ),
+    # The engine numbers its records from 0, whatever sink it appends them to.
+    Mutant(
+        "record-numbers-start-at-one", "simkernel.py",
+        "        self._record_seq = count()\n", "        self._record_seq = count(1)\n",
+        (GOLDEN_GALLERY,
+         "tests/test_simkernel.py::TestKernelBasics::test_an_append_only_sink_gets_the_default_trace"),
+    ),
+    # `bluehop run` streams the trace, and a run that fails leaves none behind.
     Mutant(
         "partial-trace-kept-on-failure", "cli.py",
         "        partial.unlink(missing_ok=True)\n", "        pass\n",
@@ -198,6 +210,31 @@ def text_errors() -> list[str]:
     return errors
 
 
+def _defines(path: Path, names: list[str]) -> bool:
+    """Whether ``path`` is a file that defines the nested classes or functions ``names``."""
+    if not path.is_file():
+        return False
+    body = ast.parse(path.read_text()).body
+    for name in names:
+        name = name.partition("[")[0]  # a parametrized id names its function
+        found = next((d for d in body if isinstance(d, (ast.ClassDef, ast.FunctionDef))
+                      and d.name == name), None)
+        if found is None:
+            return False
+        body = found.body
+    return True
+
+
+def missing_tests() -> list[str]:
+    """One line per named test whose file, class or function does not exist."""
+    return [
+        f"{m.name}: no test {test}"
+        for m in MUTANTS
+        for test in m.tests
+        if not _defines(ROOT / test.split("::")[0], test.split("::")[1:])
+    ]
+
+
 def run_mutant(m: Mutant) -> tuple[bool, str]:
     """(killed, pytest's last line) for one mutant, run against a mutated copy."""
     with tempfile.TemporaryDirectory(prefix="bluehop-mutant-") as tmp:
@@ -220,9 +257,11 @@ def run_mutant(m: Mutant) -> tuple[bool, str]:
 
 
 def main() -> int:
-    errors = text_errors()
+    errors = text_errors() + missing_tests()
     for line in errors:
         print(f"stale: {line}")
+    if errors:
+        return 1
     survivors = []
     start = time.perf_counter()
     for m in MUTANTS:
@@ -233,7 +272,7 @@ def main() -> int:
             survivors.append(m.name)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.1f} s")
-    return 1 if errors or survivors else 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":
