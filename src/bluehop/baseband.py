@@ -1,4 +1,4 @@
-"""Slot and clock arithmetic, packet slot classes, and the hop sequence.
+"""Slot and clock arithmetic, packet slot counts, and the hop sequence.
 
 The simulator keeps time in integer half-microsecond units ("hus") so that
 the 312.5 us clock tick is an exact integer (625 hus). Two ticks make a
@@ -30,26 +30,12 @@ class OversizePayloadError(ValueError):
 
 
 @dataclass(frozen=True)
-class SlotClass:
-    slots: int
-    bits_per_slot: int = BITS_PER_SLOT
-
-    def __post_init__(self) -> None:
-        if self.slots not in SLOT_LENGTHS:
-            raise ValueError(f"packets are 1, 3 or 5 slots, not {self.slots}")
-
-    @property
-    def capacity_bits(self) -> int:
-        return self.slots * self.bits_per_slot
-
-
-@dataclass(frozen=True)
 class HopSequence:
     seed: int
 
 
-def slots_for_payload(payload_bits: int, bits_per_slot: int = BITS_PER_SLOT) -> SlotClass:
-    """Smallest slot class whose capacity covers ``payload_bits``.
+def slots_for_payload(payload_bits: int, bits_per_slot: int = BITS_PER_SLOT) -> int:
+    """Fewest slots, 1, 3 or 5, whose capacity covers ``payload_bits``.
 
     Payloads beyond the 5-slot capacity raise OversizePayloadError; callers
     must fragment first.
@@ -58,7 +44,7 @@ def slots_for_payload(payload_bits: int, bits_per_slot: int = BITS_PER_SLOT) -> 
         raise ValueError("payload_bits must be non-negative")
     for slots in SLOT_LENGTHS:
         if payload_bits <= slots * bits_per_slot:
-            return SlotClass(slots, bits_per_slot)
+            return slots
     raise OversizePayloadError(
         f"{payload_bits} bits exceeds the {SLOT_LENGTHS[-1] * bits_per_slot}-bit packet ceiling"
     )

@@ -136,8 +136,9 @@ def _cmd_run(args) -> int:
     config = parse_scenario(args.scenario)
     seeds = args.seeds or [args.seed or 0]
     base = Path(args.out)
+    sweep = seeds[0] != seeds[-1]  # len() of a range fails beyond sys.maxsize
     for seed in seeds:
-        _run_seed(config, seed, base / f"seed-{seed}" if len(seeds) > 1 else base)
+        _run_seed(config, seed, base / f"seed-{seed}" if sweep else base)
     return 0
 
 

@@ -75,24 +75,23 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self.heap)
 
-    def schedule(self, now: int, time: int, kind: EventKind, *args) -> None:
+    def schedule(self, now: int, time: int, kind: EventKind, *args, sequence=None) -> None:
+        """Push an event under the next number, or under ``sequence`` taken with ``reserve``.
+
+        At most one event is queued under a reserved number at a time, so no
+        two queued events share a (time, sequence) key.
+        """
         if time < now:
             raise CausalityError(f"event at {time} scheduled from {now}")
-        heapq.heappush(self.heap, _new_event(Event, (time, self._sequence, kind, args)))
-        self._sequence += 1
+        if sequence is None:
+            sequence = self._sequence
+            self._sequence += 1
+        heapq.heappush(self.heap, _new_event(Event, (time, sequence, kind, args)))
 
     def reserve(self) -> int:
         """Take the next sequence number for an event that is pushed later under it."""
         self._sequence += 1
         return self._sequence - 1
-
-    def rearm(self, time: int, sequence: int, kind: EventKind, *args) -> None:
-        """Push an event under a number taken earlier with ``reserve``.
-
-        At most one event is queued under a reserved number at a time, so no
-        two queued events share a (time, sequence) key.
-        """
-        heapq.heappush(self.heap, _new_event(Event, (time, sequence, kind, args)))
 
     def pop(self) -> Event:
         return heapq.heappop(self.heap)
@@ -115,12 +114,10 @@ _FTYPE = {
 @dataclass
 class Radio:
     """A node's transmitter: its queue of (neighbour, body) frames, where a None
-    body is an advertisement built at send time, the neighbours that have one
-    queued, and the end of its airtime."""
+    body is an advertisement built at send time, and the end of its airtime."""
 
     txq: deque[tuple[int, Body | None]] = field(default_factory=deque)
     busy_until: int = 0
-    queued_advs: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -171,10 +168,8 @@ class Engine:
         self.runtimes: dict[int, NodeRuntime] = {}
         self.radios: dict[int, Radio] = {}
         self._links: dict[int, tuple[int, ...]] = {}
-        # Rebuilt at each formation: each piconet's hop sequence, by piconet
-        # id, and the neighbours each node holds a link map entry for.
+        # Each piconet's hop sequence, by piconet id, rebuilt at each formation.
         self._hops: list[baseband.HopSequence] = []
-        self._granted: dict[int, set[int]] = {}
         self._msg_counter = 0
         self._started = False
         # Every message's sender-side state, kept engine-wide so a reboot or a
@@ -222,11 +217,11 @@ class Engine:
         # run schedules, in the order queueing each repetition here gave.
         for spec in self.config.traffic:
             seq = self.queue.reserve()
-            self.queue.rearm(spec.time_hus, seq, _ACTION, spec, 0, seq)
+            self.queue.schedule(0, spec.time_hus, _ACTION, spec, 0, seq, sequence=seq)
 
     def _rearm(self, kind: EventKind, period: int, sequence: int, *args) -> None:
         if self.now + period <= self.horizon:
-            self.queue.rearm(self.now + period, sequence, kind, *args)
+            self.queue.schedule(self.now, self.now + period, kind, *args, sequence=sequence)
 
     def run(self, until: int | None = None):
         """Advance the run to ``until`` (default: the horizon). Resumable."""
@@ -251,14 +246,14 @@ class Engine:
 
     # ------------------------------------------------------------ trace/links
 
-    def _emit(self, kind: str, node: int | None, detail: dict | None = None) -> None:
+    def _emit(self, kind: str, node: int | None, detail: dict) -> None:
         t = self.now
         record = {
             "t_us": t // 2 if t % 2 == 0 else t / 2,  # _t_us, inlined on the hot path
             "seq": next(self._record_seq),
             "kind": kind,
             "node": node,
-            "detail": detail or {},
+            "detail": detail,
         }
         self.trace.append(record)
         metrics.record_event(self.metrics, record)
@@ -294,11 +289,11 @@ class Engine:
                 baseband.HopSequence(seed=derive_seed(self.seed, f"hop:{p.master}"))
                 for p in self.net.piconets
             ]
-            self._granted = {n: set() for n in self._ids}
-            for a, b in self.net.links:
-                self._granted[a].add(b)
             self._emit("scatternet", None, scatternet.scatternet_to_json(self.net))
-        self._links = {n: tuple(sorted(near & self._granted[n])) for n, near in self.near.items()}
+        granted = self.net.links
+        self._links = {
+            n: tuple(sorted(m for m in near if (n, m) in granted)) for n, near in self.near.items()
+        }
 
     def links(self, n: int) -> tuple[int, ...]:
         return self._links.get(n, ())
@@ -343,13 +338,14 @@ class Engine:
             first = seq
         pairs[neighbor] = (now, first, True)
         if not queued:
-            self.queue.rearm(now + self._expiry_hus, first, _EXPIRY, n, neighbor)
+            self.queue.schedule(now, now + self._expiry_hus, _EXPIRY, n, neighbor, sequence=first)
 
     def _enqueue_adv(self, n: int, to: int) -> None:
-        if to in self.radios[n].queued_advs:
-            return  # one queued advertisement per neighbour; content built at send
-        self.radios[n].queued_advs.add(to)
-        self._enqueue_frame(n, to, None)
+        # One queued advertisement per neighbour; content built at send. No
+        # body equals None: the packet dataclasses' __eq__ returns
+        # NotImplemented for it, and a ControlMessage compares by identity.
+        if (to, None) not in self.radios[n].txq:
+            self._enqueue_frame(n, to, None)
 
     def _broadcast_advs(self, n: int) -> None:
         for m in self.links(n):
@@ -394,7 +390,6 @@ class Engine:
             if body is None:
                 # Content is built at transmission time so a queued triggered
                 # advertisement always carries the latest table.
-                radio.queued_advs.discard(to)
                 body = routing.make_advertisement(self.runtimes[n].table, to)
             if self.world[n].state is not _ACTIVE:
                 self._lost(n, "to", to, body, "sender_inactive")
@@ -411,7 +406,7 @@ class Engine:
                 start, channel = now, None
             body_type = type(body)
             if body_type is transport.DataPacket:
-                slots = body.slot_class.slots
+                slots = body.slots
                 kind, detail = "data_tx", {
                     "to": to, "msg_id": body.msg_id, "fragment": body.fragment_index, "slots": slots
                 }
@@ -458,7 +453,7 @@ class Engine:
         due = heard + self._expiry_hus
         if due > self.now:
             # Refreshed since this check was armed.
-            self.queue.rearm(due, first, _EXPIRY, n, neighbor)
+            self.queue.schedule(self.now, due, _EXPIRY, n, neighbor, sequence=first)
             return
         pairs[neighbor] = (heard, first, False)
         # A silent neighbour is treated exactly like a withdraw from it.
@@ -556,7 +551,8 @@ class Engine:
                 fragment_index=index,
                 fragment_count=len(transfer.fragments),
                 sealed_payload=piece,
-                slot_class=baseband.slots_for_payload(len(piece) * 8, self.bits_per_slot),
+                slots=baseband.slots_for_payload(len(piece) * 8, self.bits_per_slot),
+                hop_trace=[transfer.src],
             )
             self._enqueue_frame(transfer.src, first, pkt)
         return True

@@ -12,7 +12,7 @@ import functools
 import hashlib
 from dataclasses import dataclass, field
 
-from .baseband import BITS_PER_SLOT, SLOT_LENGTHS, SlotClass
+from .baseband import BITS_PER_SLOT, SLOT_LENGTHS
 
 
 class OpacityViolation(AssertionError):
@@ -87,15 +87,10 @@ class DataPacket:
     fragment_index: int
     fragment_count: int
     sealed_payload: bytes
-    slot_class: SlotClass
+    slots: int
     # Simulator-only observability: every node the packet has visited,
     # starting with the source.
-    hop_trace: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.hop_trace:
-            self.hop_trace = [self.src]
-        assert len(self.sealed_payload) * 8 <= self.slot_class.capacity_bits
+    hop_trace: list[int]
 
 
 @dataclass

@@ -52,13 +52,13 @@ class TestSlotsForPayload:
         [(0, 1), (1, 1), (624, 1), (625, 1), (626, 3), (1875, 3), (1876, 5), (3125, 5)],
     )
     def test_tiers(self, bits, slots):
-        assert slots_for_payload(bits).slots == slots
+        assert slots_for_payload(bits) == slots
 
     def test_exhaustive_minimality(self):
         for bits in range(0, 3126):
-            sc = slots_for_payload(bits)
-            assert sc.capacity_bits >= bits
-            smaller = [s for s in SLOT_LENGTHS if s < sc.slots]
+            slots = slots_for_payload(bits)
+            assert slots * BITS_PER_SLOT >= bits
+            smaller = [s for s in SLOT_LENGTHS if s < slots]
             assert all(s * BITS_PER_SLOT < bits for s in smaller)
 
     def test_oversize_rejected(self):
@@ -66,8 +66,8 @@ class TestSlotsForPayload:
             slots_for_payload(3126)
 
     def test_rate_multiplier_scales_capacity(self):
-        assert slots_for_payload(1876, bits_per_slot=1875).slots == 3
-        assert slots_for_payload(3 * 3125, bits_per_slot=3 * 625).slots == 5
+        assert slots_for_payload(1876, bits_per_slot=1875) == 3
+        assert slots_for_payload(3 * 3125, bits_per_slot=3 * 625) == 5
 
 
 class TestTxDuration:

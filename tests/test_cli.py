@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bluehop import scenario_path
+from bluehop import cli, scenario_path
 from bluehop.cli import TRACE_DETAIL, _seed_range, main, trace_line
 from bluehop.scenario import validate_scenario
 from bluehop.simkernel import Engine
@@ -54,6 +54,19 @@ class TestRun:
         # A sweep this long is never run; its seeds are not even listed.
         seeds = _seed_range("0..99999999999")
         assert (len(seeds), seeds[0], seeds[-1]) == (100_000_000_000, 0, 99_999_999_999)
+
+    def test_sweep_wider_than_maxsize_gets_one_directory_per_seed(self, tmp_path, monkeypatch):
+        dirs = []
+
+        def first_seed_only(config, seed, out_dir):
+            dirs.append(out_dir)
+            raise RuntimeError("stopped after the first seed")
+
+        monkeypatch.setattr(cli, "_run_seed", first_seed_only)
+        out = tmp_path / "sweep"
+        seeds = "0..100000000000000000000"
+        assert main(["run", scenario_path("line5.json"), "--seeds", seeds, "--out", str(out)]) == 2
+        assert dirs == [out / "seed-0"]
 
 
 class TestStreamedTrace:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from bluehop.cli import trace_line
 from bluehop.metrics import deliveries_from_trace, replay
 from bluehop.scenario import validate_scenario
-from bluehop.simkernel import run_scenario
+from bluehop.simkernel import Engine, run_scenario
 
 
 @st.composite
@@ -107,3 +107,15 @@ def test_bounded_random_runs_keep_their_invariants(config, seed):
     }
     for msg_id in pending:
         assert config.horizon_hus - 2 * last_armed[msg_id] < config.protocol.t_ack_hus
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(), st.integers(0, 3), st.data())
+def test_a_resumed_run_equals_one_run(config, seed, data):
+    stops = data.draw(st.lists(st.integers(0, config.horizon_hus), max_size=4))
+    _, whole = run_scenario(config, seed)
+    engine = Engine(config, seed)
+    for t in sorted(stops):
+        engine.run(until=t)
+    _, trace = engine.run()
+    assert json.dumps(trace) == json.dumps(whole)

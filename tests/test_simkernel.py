@@ -49,6 +49,18 @@ class TestEventQueue:
         with pytest.raises(CausalityError):
             q.schedule(10, 9, EventKind.MOTION_UPDATE)
 
+    def test_past_event_under_a_reserved_number_raises_causality_error(self):
+        q = EventQueue()
+        with pytest.raises(CausalityError):
+            q.schedule(10, 9, EventKind.MOTION_UPDATE, sequence=q.reserve())
+
+    def test_reserved_number_runs_before_events_scheduled_after_it_was_taken(self):
+        q = EventQueue()
+        seq = q.reserve()
+        q.schedule(0, 5, EventKind.MOTION_UPDATE, "scheduled")
+        q.schedule(0, 5, EventKind.MOTION_UPDATE, "reserved", sequence=seq)
+        assert [q.pop().args[0] for _ in range(2)] == ["reserved", "scheduled"]
+
 
 class TestKernelBasics:
     def test_empty_scenario(self):

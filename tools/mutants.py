@@ -65,10 +65,16 @@ MUTANTS = (
         "        for a in changed:\n", "        for a in changed[:-1]:\n",
         (LINKS_PROPERTY,),
     ),
+    # In scatternet mode a node links only the in-range neighbours it holds a grant for.
+    Mutant(
+        "scatternet-links-ignore-grants", "simkernel.py",
+        "tuple(sorted(m for m in near if (n, m) in granted))", "tuple(sorted(near))",
+        (LINKS_PROPERTY,),
+    ),
     # The periodic timers re-arm under the two numbers reserved at set-up.
     Mutant(
         "timers-rearm-through-schedule", "simkernel.py",
-        "            self.queue.rearm(self.now + period, sequence, kind, *args)\n",
+        "            self.queue.schedule(self.now, self.now + period, kind, *args, sequence=sequence)\n",
         "            self.queue.schedule(self.now, self.now + period, kind, *args)\n",
         (TIMERS,),
     ),
@@ -127,7 +133,8 @@ MUTANTS = (
     # One live expiry check per (node, neighbour) pair.
     Mutant(
         "expiry-never-rearmed", "simkernel.py",
-        "            self.queue.rearm(due, first, _EXPIRY, n, neighbor)\n            return\n",
+        "            self.queue.schedule(self.now, due, _EXPIRY, n, neighbor, sequence=first)\n"
+        "            return\n",
         "            return\n",
         (EXPIRY, "tests/test_simkernel.py::TestChurnReactions"),
     ),
@@ -152,6 +159,12 @@ MUTANTS = (
         "radio-arrival-services-busy-sender", "simkernel.py",
         "        if radio.txq and radio.busy_until <= self.now:\n",
         "        if radio.txq:\n",
+        (GOLDEN_GALLERY,),
+    ),
+    # One queued advertisement per neighbour, read off the transmit queue.
+    Mutant(
+        "advertisements-not-coalesced", "simkernel.py",
+        "        if (to, None) not in self.radios[n].txq:\n", "        if True:\n",
         (GOLDEN_GALLERY,),
     ),
     # Equal-cost next hops break ties by the frames queued to each.
