@@ -67,7 +67,7 @@ def record_event(m: Metrics, record: dict) -> None:
     silently skew results.
     """
     kind = record["kind"]
-    detail = record.get("detail") or {}
+    detail = record["detail"]
     # The most frequent kinds are tested first.
     if kind == "ctrl_sent":
         ck = detail["ctrl"]

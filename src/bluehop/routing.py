@@ -223,10 +223,11 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
     A candidate cost of advertised+1 (capped at INF) is adopted when it beats
     the current entry, or whenever the entry already routes through the
     advertiser: a route through a neighbour must track that neighbour's own
-    view, including cost increases and silently dropped destinations.
-    The advertisement is kept as ``table.heard[from_]`` for next_hops.
-    Returns True when any entry's (next hop, cost) changed, which obliges the
-    caller to queue triggered advertisements.
+    view, including cost increases. A destination missing from X's vector is
+    relaxed as if X advertised it at INF. The advertisement is kept as
+    ``table.heard[from_]`` for next_hops. Returns True when any entry's
+    (next hop, cost) changed, which obliges the caller to queue triggered
+    advertisements.
 
     A repeat vector from X costs only what changed. After X's vector ``v``
     is relaxed, (a) every cost(d) <= min(v[d]+1, INF), (b) every entry whose
@@ -237,17 +238,16 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
     X speaks again, (b) and (c) still hold, and (a) holds for every
     destination not raised since: an unchanged (d, v[d]) pair for such a
     destination can change nothing, so re-offering one is harmless, and
-    relaxing any superset of the changed pairs, the vanished destinations and
-    the raised destinations is exact. ``heard[X]`` keeps the advertisement
-    of ``v`` and the rise record that relaxation left. While both chains
-    still reach back to them, they name such a superset: the destinations in
-    the vector records newer than ``v``'s, whose cost or next hop moved in
-    between; the difference of the two poisoned sets; and the destinations in
-    the rise records since. The same two heads with the same poisoned set
-    change nothing. Anything else (first contact, or a chain cut before it
-    reaches back) takes the full pass over the whole vector. Both passes
-    relax their destinations in one loop; one missing from the vector has
-    vanished.
+    relaxing any superset of the changed pairs and the raised destinations is
+    exact. ``heard[X]`` keeps the advertisement of ``v`` and the rise record
+    that relaxation left. While both chains still reach back to them, they
+    name such a superset: the destinations in the vector records newer than
+    ``v``'s, whose cost or next hop moved in between; the difference of the
+    two poisoned sets; and the destinations in the rise records since. The
+    same two heads with the same poisoned set change nothing. Anything else
+    (first contact, or a chain cut before it reaches back) takes the full
+    pass over the whole vector and the destinations routed via X. Both
+    passes relax their destinations in one loop.
     """
     if adv.kind is not _ADVERTISEMENT:
         raise ValueError(f"not an advertisement: {adv.kind}")
@@ -266,20 +266,17 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
         dests = set(poisoned)
         dests ^= seen.poisoned
         if _since(table.risen, risen_then, dests) and _since(record, seen.vector.record, dests):
-            offered, vanished = dests, []
+            offered = dests
     if offered is None:
         # Only an entry routed via the advertiser can vanish with its vector.
-        offered, vanished = costs, [d for d in mine if d not in costs]
+        offered = costs.keys() | mine
     changed_dests = table.changed
     changed = False
     risen = []
     for dest in offered:
         if dest == owner:
             continue  # the self-entry is permanent
-        cost = inf if dest in poisoned else costs.get(dest)
-        if cost is None:
-            vanished.append(dest)
-            continue
+        cost = inf if dest in poisoned else costs.get(dest, inf)
         candidate = cost + 1 if cost < inf else inf
         entry = entries.get(dest)
         if entry is None:
@@ -302,15 +299,6 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
             if candidate >= inf:
                 entry.next_hop = None
                 mine.discard(dest)
-            risen.append(dest)
-    # Destinations we route via the advertiser but which it no longer knows
-    # are gone from its vector entirely; poison them.
-    for dest in vanished:
-        entry = entries.get(dest)
-        if entry is not None and entry.next_hop == from_ and dest != owner and entry.cost < inf:
-            entry.cost = inf
-            entry.next_hop = None
-            mine.discard(dest)
             risen.append(dest)
     if risen:
         _note_rise(table, risen)
@@ -375,11 +363,7 @@ def next_hops(table: RoutingTable, dest: int, links: tuple[int, ...]) -> list[in
 
 def select_next_hop(candidates: Iterable[tuple[int, int]]) -> int | None:
     """Pick among equal-cost next hops: least queue depth, then lowest id."""
-    best = None
-    for neighbor, depth in candidates:
-        key = (depth, neighbor)
-        if best is None or key < best:
-            best = key
+    best = min(((depth, neighbor) for neighbor, depth in candidates), default=None)
     return best[1] if best is not None else None
 
 

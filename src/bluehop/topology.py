@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class NodeState(Enum):
@@ -23,13 +24,9 @@ class NodeState(Enum):
 _ACTIVE = NodeState.ACTIVE
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple):
     x: float
     y: float
-
-    def distance_to(self, other: "Position") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 @dataclass
@@ -50,7 +47,7 @@ def in_range(a: Node, b: Node) -> bool:
     """
     if a.state is not _ACTIVE or b.state is not _ACTIVE:
         return False
-    d = a.position.distance_to(b.position)
+    d = math.dist(a.position, b.position)
     return d <= a.range_m and d <= b.range_m
 
 

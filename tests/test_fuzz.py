@@ -119,3 +119,49 @@ def test_a_resumed_run_equals_one_run(config, seed, data):
         engine.run(until=t)
     _, trace = engine.run()
     assert json.dumps(trace) == json.dumps(whole)
+
+
+def _without_seq(trace):
+    return [{k: v for k, v in record.items() if k != "seq"} for record in trace]
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario_specs(), st.integers(0, 3), st.integers(-10_000, 10_000),
+       st.integers(-10_000, 10_000))
+def test_shifting_every_position_keeps_the_trace(spec, seed, dx, dy):
+    # Exact because the fuzz scenarios have no waypoints to interpolate.
+    shifted = dict(spec, nodes=[dict(node, x=node["x"] + dx, y=node["y"] + dy)
+                                for node in spec["nodes"]])
+    _, trace = run_scenario(validate_scenario(spec), seed)
+    _, moved = run_scenario(validate_scenario(shifted), seed)
+    assert json.dumps(moved) == json.dumps(trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario_specs(), st.integers(0, 3))
+def test_a_far_silent_node_adds_only_its_own_records(spec, seed):
+    far = len(spec["nodes"])  # above every id
+    grown = dict(spec, nodes=[*spec["nodes"], {"id": far, "x": 10_000, "y": 10_000, "class": 3}])
+    _, trace = run_scenario(validate_scenario(spec), seed)
+    _, bigger = run_scenario(validate_scenario(grown), seed)
+    rest = []
+    for record in _without_seq(bigger):
+        if record["kind"] == "adv_timer" and record["node"] == far:
+            continue
+        if record["kind"] == "scatternet":
+            *piconets, own = record["detail"]["piconets"]
+            assert own == {"id": len(piconets), "master": far, "active_slaves": [],
+                           "parked_slaves": []}
+            record["detail"] = dict(record["detail"], piconets=piconets)
+        rest.append(record)
+    assert json.dumps(rest) == json.dumps(_without_seq(trace))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario_specs(), st.integers(0, 3))
+def test_doubling_the_horizon_extends_the_trace(spec, seed):
+    config = validate_scenario(spec)
+    _, trace = run_scenario(config, seed)
+    _, longer = run_scenario(validate_scenario(dict(spec, horizon=2 * spec["horizon"])), seed)
+    assert json.dumps(longer[:len(trace)]) == json.dumps(trace)
+    assert all(2 * record["t_us"] > config.horizon_hus for record in longer[len(trace):])

@@ -46,6 +46,8 @@ GOLDEN_GALLERY = "tests/test_golden.py::test_gallery_artifacts_match_pinned_dige
 FUZZ = "tests/test_fuzz.py::test_bounded_random_runs_keep_their_invariants"
 ROWS = "tests/test_metrics.py::TestDeliveriesRows"
 EXPIRY = "tests/test_simkernel.py::TestExpiryChecks"
+VANISHED = ("tests/test_routing.py::TestProcessAdvertisement::"
+            "test_missing_destination_via_advertiser_is_poisoned")
 
 MUTANTS = (
     # The in-range graph is re-tested for every pair a change touches.
@@ -124,6 +126,20 @@ MUTANTS = (
         "    risen: ChangeRecord = field(default=None, init=False)\n",
         ("tests/test_routing.py::TestProcessAdvertisement::test_repeated_vector_relaxes_after_many_rises",),
     ),
+    # A destination missing from the advertiser's vector is relaxed at INF.
+    Mutant(
+        "routing-vanished-not-offered", "routing.py",
+        "        offered = costs.keys() | mine\n", "        offered = costs.keys()\n",
+        (VANISHED,),
+    ),
+    Mutant(
+        "routing-missing-cost-skipped", "routing.py",
+        "        cost = inf if dest in poisoned else costs.get(dest, inf)\n",
+        "        if dest not in poisoned and dest not in costs:\n            continue\n"
+        "        cost = inf if dest in poisoned else costs.get(dest, inf)\n",
+        (VANISHED,
+         "tests/test_routing.py::test_every_small_graph_reconverges_after_each_failure"),
+    ),
     Mutant(
         "next-hops-ignore-poisoned", "routing.py",
         "            cost = inf if dest in adv.poisoned else adv.vector.costs.get(dest, inf)\n",
@@ -174,6 +190,13 @@ MUTANTS = (
         "        return [(m, 0) for m in hops]\n",
         ("tests/test_simkernel.py::TestDeliveryPaths::test_first_hop_prefers_the_shorter_queue",
          "tests/test_golden.py::test_benchmark_pool_artifacts_match_pinned_digests"),
+    ),
+    Mutant(
+        "next-hop-key-swapped", "routing.py",
+        "(depth, neighbor) for neighbor, depth in candidates), default=None)\n    return best[1]",
+        "(neighbor, depth) for neighbor, depth in candidates), default=None)\n    return best[0]",
+        ("tests/test_routing.py::TestSelectNextHop::test_prefers_shallow_queue",
+         "tests/test_simkernel.py::TestDeliveryPaths::test_first_hop_prefers_the_shorter_queue"),
     ),
     # The engine numbers its records from 0, whatever sink it appends them to.
     Mutant(
