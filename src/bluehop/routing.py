@@ -129,13 +129,14 @@ class RouteEntry:
     cost: int
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutingTable:
     """One node's routes and what its neighbours last told it.
 
     ``entries`` and ``heard`` change only through this module's functions:
     ``changed``, ``risen`` and ``via`` follow those changes, and the shared
-    vectors and the delta relaxations rely on them.
+    vectors and the delta relaxations rely on them. ``hops`` caches
+    next_hops's answers until either changes.
     """
 
     owner: int
@@ -158,6 +159,11 @@ class RoutingTable:
     changed: set[int] = field(default_factory=set, init=False)
     # The last vector built; None before the first advertisement.
     vector: Vector | None = field(default=None, init=False)
+    # Destination -> its equal-cost next hops among ``hops_links``, the links
+    # tuple they were picked from; emptied whenever ``entries`` or ``heard``
+    # change.
+    hops: dict[int, list[int]] = field(default_factory=dict, init=False)
+    hops_links: tuple[int, ...] | None = field(default=None, init=False)
 
     def cost_to(self, dest: int) -> int:
         e = self.entries.get(dest)
@@ -267,6 +273,7 @@ def process_advertisement(table: RoutingTable, from_: int, adv: ControlMessage) 
         dests ^= seen.poisoned
         if _since(table.risen, risen_then, dests) and _since(record, seen.vector.record, dests):
             offered = dests
+    table.hops.clear()
     if offered is None:
         # Only an entry routed via the advertiser can vanish with its vector.
         offered = costs.keys() | mine
@@ -320,6 +327,7 @@ def handle_withdraw(table: RoutingTable, leaving: int) -> bool:
     entries propagate the news.
     """
     table.heard.pop(leaving, None)
+    table.hops.clear()
     entries = table.entries
     risen = []
     entry = entries.get(leaving)
@@ -342,13 +350,22 @@ def handle_withdraw(table: RoutingTable, leaving: int) -> bool:
 def next_hops(table: RoutingTable, dest: int, links: tuple[int, ...]) -> list[int]:
     """Linked neighbours whose last advertised cost + 1 is the table's cost to ``dest``.
 
-    Falls back to the entry's own next hop while it is still linked.
+    Falls back to the entry's own next hop while it is still linked. The
+    answer is cached until the table changes or another links tuple is
+    asked about; callers must not mutate it.
     """
+    if table.hops_links is links:
+        hops = table.hops.get(dest)
+        if hops is not None:
+            return hops
+    else:
+        table.hops.clear()
+        table.hops_links = links
     entry = table.entries.get(dest)
     inf = table.inf
+    hops = table.hops[dest] = []
     if entry is None or entry.cost >= inf:
-        return []
-    hops = []
+        return hops
     for m in links:
         last = table.heard.get(m)
         if last is not None:
@@ -357,13 +374,14 @@ def next_hops(table: RoutingTable, dest: int, links: tuple[int, ...]) -> list[in
             if cost + 1 == entry.cost:
                 hops.append(m)
     if not hops and entry.next_hop in links:
-        hops = [entry.next_hop]
+        hops.append(entry.next_hop)
     return hops
 
 
 def select_next_hop(candidates: Iterable[tuple[int, int]]) -> int | None:
-    """Pick among equal-cost next hops: least queue depth, then lowest id."""
-    best = min(((depth, neighbor) for neighbor, depth in candidates), default=None)
+    """Pick among equal-cost next hops, given as (frames queued to it, neighbour)
+    pairs: the fewest queued frames, then the lowest id."""
+    best = min(candidates, default=None)
     return best[1] if best is not None else None
 
 

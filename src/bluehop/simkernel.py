@@ -111,13 +111,21 @@ _FTYPE = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Radio:
     """A node's transmitter: its queue of (neighbour, body) frames, where a None
-    body is an advertisement built at send time, and the end of its airtime."""
+    body is an advertisement built at send time, and the end of its airtime.
+
+    ``advs`` holds the neighbours with an advertisement queued, and ``depth``
+    counts the other queued frames per neighbour, so ``depth.get(m, 0) + (m in
+    advs)`` frames are queued to m: advertisements coalesce to one per link.
+    Only ``Engine._enqueue_frame`` appends and ``Engine._try_service`` pops.
+    """
 
     txq: deque[tuple[int, Body | None]] = field(default_factory=deque)
     busy_until: int = 0
+    advs: set[int] = field(default_factory=set)
+    depth: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -341,10 +349,8 @@ class Engine:
             self.queue.schedule(now, now + self._expiry_hus, _EXPIRY, n, neighbor, sequence=first)
 
     def _enqueue_adv(self, n: int, to: int) -> None:
-        # One queued advertisement per neighbour; content built at send. No
-        # body equals None: the packet dataclasses' __eq__ returns
-        # NotImplemented for it, and a ControlMessage compares by identity.
-        if (to, None) not in self.radios[n].txq:
+        # One queued advertisement per neighbour; content built at send.
+        if to not in self.radios[n].advs:
             self._enqueue_frame(n, to, None)
 
     def _broadcast_advs(self, n: int) -> None:
@@ -354,14 +360,20 @@ class Engine:
     def _enqueue_frame(self, n: int, to: int, body: Body | None) -> None:
         radio = self.radios[n]
         radio.txq.append((to, body))
+        if body is None:
+            radio.advs.add(to)
+        else:
+            depth = radio.depth
+            depth[to] = depth.get(to, 0) + 1
         if radio.busy_until <= self.now:
             self._try_service(n, radio)
 
     def _route_candidates(self, n: int, dest: int) -> list[tuple[int, int]]:
-        """Minimal-cost next hops toward ``dest`` with the frames queued to each."""
-        hops = routing.next_hops(self.runtimes[n].table, dest, self.links(n))
-        txq = self.radios[n].txq
-        return [(m, sum(to == m for to, _ in txq)) for m in hops]
+        """(frames queued to it, neighbour) for each minimal-cost next hop toward ``dest``."""
+        hops = routing.next_hops(self.runtimes[n].table, dest, self._links[n])
+        radio = self.radios[n]
+        depth, advs = radio.depth, radio.advs
+        return [(depth.get(m, 0) + (m in advs), m) for m in hops]
 
     def _trigger_discovery(self, n: int, target: int) -> None:
         self._emit("discovery", n, {"target": target})
@@ -388,9 +400,12 @@ class Engine:
         while radio.txq:
             to, body = radio.txq.popleft()
             if body is None:
+                radio.advs.remove(to)
                 # Content is built at transmission time so a queued triggered
                 # advertisement always carries the latest table.
                 body = routing.make_advertisement(self.runtimes[n].table, to)
+            else:
+                radio.depth[to] -= 1
             if self.world[n].state is not _ACTIVE:
                 self._lost(n, "to", to, body, "sender_inactive")
                 continue

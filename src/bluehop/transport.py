@@ -123,12 +123,13 @@ class PendingTransfer:
 def choose_first_hop(
     candidates: list[tuple[int, int]], routes_tried: set[int]
 ) -> int | None:
-    """Pick a first hop, preferring one not tried before.
+    """Pick a first hop among (queued frames, neighbour) pairs, preferring one
+    not tried before.
 
     Falls back to the best available candidate when every minimal-cost
     neighbour has been tried already.
     """
     from .routing import select_next_hop
 
-    fresh = [(n, d) for n, d in candidates if n not in routes_tried]
+    fresh = [(depth, n) for depth, n in candidates if n not in routes_tried]
     return select_next_hop(fresh if fresh else candidates)

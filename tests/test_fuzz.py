@@ -1,8 +1,11 @@
 """Run-level invariants over bounded random scenarios with power cycling."""
+import copy
 import json
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
+from bluehop import routing
 from bluehop.cli import trace_line
 from bluehop.metrics import deliveries_from_trace, replay
 from bluehop.scenario import validate_scenario
@@ -119,6 +122,34 @@ def test_a_resumed_run_equals_one_run(config, seed, data):
         engine.run(until=t)
     _, trace = engine.run()
     assert json.dumps(trace) == json.dumps(whole)
+
+
+def _uncached_next_hops(table, dest, links):
+    fresh = copy.copy(table)
+    fresh.hops, fresh.hops_links = {}, None
+    return routing.next_hops(fresh, dest, links)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenario_specs(), st.integers(0, 3), st.integers(1, 20))
+def test_queue_counts_and_cached_next_hops_match_a_recomputation(spec, seed, steps):
+    for mode in ("geometric", "scatternet"):
+        config = validate_scenario(dict(spec, link_mode=mode))
+        engine = Engine(config, seed)
+        for k in range(1, steps + 1):
+            engine.run(until=config.horizon_hus * k // steps)
+            for radio in engine.radios.values():
+                # At most one advertisement per neighbour, each named in ``advs``.
+                assert Counter(to for to, body in radio.txq if body is None) == Counter(radio.advs)
+                others = Counter(to for to, body in radio.txq if body is not None)
+                assert {m: c for m, c in radio.depth.items() if c} == others
+            for n, runtime in engine.runtimes.items():
+                table, links = runtime.table, engine.links(n)
+                for dest in table.entries:
+                    want = _uncached_next_hops(table, dest, links)
+                    assert routing.next_hops(table, dest, links) == want
+        _, whole = run_scenario(config, seed)
+        assert json.dumps(engine.trace) == json.dumps(whole)
 
 
 def _without_seq(trace):

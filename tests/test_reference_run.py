@@ -6,6 +6,7 @@ together over whole runs. The reference run
   advertisement is built from the table itself;
 - forgets what it last relaxed from each sender, so every advertisement takes
   the full relaxation pass (no repeat shortcut, no delta path);
+- recomputes every table's equal-cost next hops on every call (no cache);
 - re-tests every pair of nodes whenever any node moves or changes state;
 - recomputes every seal keystream (no memo);
 - arms one neighbour expiry check per refresh, each acting only if nothing
@@ -43,11 +44,13 @@ POOL_CASES = {"mobile_mesh": 6, "static_bulk": 1, "scatternet_churn": 3}
 def all_reference():
     """Swap every fast path for its reference; yields how often each switch ran."""
     used = Counter()
-    make, process, relink = (
-        routing.make_advertisement, routing.process_advertisement, Engine._relink
+    make, process, hops, relink = (
+        routing.make_advertisement, routing.process_advertisement, routing.next_hops,
+        Engine._relink,
     )
     seal_key = transport._seal_key.__wrapped__
-    try_service, on_arrival = Engine._try_service, Engine._on_arrival
+    enqueue, try_service = Engine._enqueue_frame, Engine._try_service
+    on_arrival = Engine._on_arrival
     start, on_action = Engine._start, Engine._on_scenario_action
     last_heard = {}  # (engine, node, neighbour) -> instant of the latest refresh
 
@@ -60,6 +63,11 @@ def all_reference():
         used["process"] += 1
         table.heard.pop(from_, None)
         return process(table, from_, adv)
+
+    def next_hops_uncached(table, dest, links):
+        used["hops"] += 1
+        table.hops_links = None
+        return hops(table, dest, links)
 
     def relink_everyone(engine, changed):
         used["relink"] += 1
@@ -97,7 +105,7 @@ def all_reference():
 
     def enqueue_and_service(engine, n, to, body):
         used["radio"] += 1
-        engine.radios[n].txq.append((to, body))
+        enqueue(engine, n, to, body)
         engine._try_service(n, engine.radios[n])
 
     def service_and_arrive(engine, sender, n, body):
@@ -129,6 +137,7 @@ def all_reference():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(routing, "make_advertisement", make_from_table)
         mp.setattr(routing, "process_advertisement", process_full_pass)
+        mp.setattr(routing, "next_hops", next_hops_uncached)
         mp.setattr(Engine, "_relink", relink_everyone)
         mp.setattr(transport, "_seal_key", seal_key_unmemoised)
         mp.setattr(Engine, "_refresh_neighbor", refresh_arming_a_check)
@@ -178,4 +187,6 @@ def test_fuzzed_runs(config):
 def test_every_switch_reaches_the_engine():
     with all_reference() as used:
         Engine(parse_scenario(scenario_path("diamond_failover.json")), 0).run()
-    assert set(used) == {"make", "process", "relink", "seal", "expiry", "radio", "traffic"}
+    assert set(used) == {
+        "make", "process", "hops", "relink", "seal", "expiry", "radio", "traffic"
+    }

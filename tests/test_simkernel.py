@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -615,6 +616,70 @@ class TestRebootFaults:
             for r in trace
             if r["kind"] == "data_rx" and r["node"] == 1 and r["detail"]["from"] == 0
         ]
+
+
+def _line_of_six(mode="geometric", horizon=1.0, flows=1, count=1, interval=0.0):
+    """Six class-3 nodes 8 m apart, with 300 B messages from node 0 to node 5."""
+    return validate_scenario(
+        {
+            "link_mode": mode,
+            "horizon": horizon,
+            "protocol": {"t_adv": 0.2},
+            "nodes": [{"id": i, "x": 8.0 * i, "y": 0.0, "class": 3} for i in range(6)],
+            "traffic": [
+                {"time": 0.1, "src": 0, "dst": 5, "payload_bytes": 300, "count": count,
+                 "interval": interval}
+            ] * flows,
+        }
+    )
+
+
+def _calls_per_record(config):
+    """Python function calls made by a whole run, per trace record.
+
+    Calls are counted as ``sys.setprofile`` "call" events, so the figure
+    depends only on the code and the scenario, never on the host's speed.
+    """
+    calls = 0
+
+    def count_calls(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    engine = Engine(config, 0)
+    sys.setprofile(count_calls)
+    try:
+        engine.run()
+    finally:
+        sys.setprofile(None)
+    return calls / len(engine.trace)
+
+
+class TestWorkGrowsWithContent:
+    """Time stays proportional to the scenario's content.
+
+    Along each axis the work per trace record should stay flat, so four
+    times the content may cost only a little more per record. A transmit
+    queue scanned per forwarding decision made the flows and burst axes read
+    4.6-5.2 here; linear code reads 0.94-0.99.
+    """
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # Messages 0.4 s apart while the horizon grows: a quiet topology.
+            lambda k: _line_of_six(horizon=2.0 * k, count=5 * k, interval=0.4),
+            lambda k: _line_of_six(flows=10 * k, count=5, interval=0.05),
+            # One flow's messages at interval 0 queue behind each other.
+            lambda k: _line_of_six(count=50 * k),
+            lambda k: _line_of_six(mode="scatternet", count=50 * k),
+        ],
+        ids=["horizon", "flows", "burst", "scatternet-burst"],
+    )
+    def test_calls_per_record_stay_flat(self, make):
+        ratio = _calls_per_record(make(4)) / _calls_per_record(make(1))
+        assert ratio < 1.25
 
 
 class TestScatternetMode:

@@ -124,10 +124,10 @@ class TestPayloads:
 
 class TestFirstHopChoice:
     def test_prefers_untried_route(self):
-        assert choose_first_hop([(1, 0), (2, 0)], routes_tried={1}) == 2
+        assert choose_first_hop([(0, 1), (0, 2)], routes_tried={1}) == 2
 
     def test_falls_back_when_all_tried(self):
-        assert choose_first_hop([(1, 4), (2, 1)], routes_tried={1, 2}) == 2
+        assert choose_first_hop([(4, 1), (1, 2)], routes_tried={1, 2}) == 2
 
     def test_no_candidates(self):
         assert choose_first_hop([], routes_tried=set()) is None

@@ -46,6 +46,7 @@ GOLDEN_GALLERY = "tests/test_golden.py::test_gallery_artifacts_match_pinned_dige
 FUZZ = "tests/test_fuzz.py::test_bounded_random_runs_keep_their_invariants"
 ROWS = "tests/test_metrics.py::TestDeliveriesRows"
 EXPIRY = "tests/test_simkernel.py::TestExpiryChecks"
+COUNTS = "tests/test_fuzz.py::test_queue_counts_and_cached_next_hops_match_a_recomputation"
 VANISHED = ("tests/test_routing.py::TestProcessAdvertisement::"
             "test_missing_destination_via_advertiser_is_poisoned")
 
@@ -177,26 +178,54 @@ MUTANTS = (
         "        if radio.txq:\n",
         (GOLDEN_GALLERY,),
     ),
-    # One queued advertisement per neighbour, read off the transmit queue.
+    # One queued advertisement per neighbour, read off the radio's counts.
     Mutant(
         "advertisements-not-coalesced", "simkernel.py",
-        "        if (to, None) not in self.radios[n].txq:\n", "        if True:\n",
+        "        if to not in self.radios[n].advs:\n", "        if True:\n",
         (GOLDEN_GALLERY,),
     ),
     # Equal-cost next hops break ties by the frames queued to each.
     Mutant(
         "route-candidates-ignore-queue-depth", "simkernel.py",
-        "        return [(m, sum(to == m for to, _ in txq)) for m in hops]\n",
-        "        return [(m, 0) for m in hops]\n",
+        "        return [(depth.get(m, 0) + (m in advs), m) for m in hops]\n",
+        "        return [(0, m) for m in hops]\n",
         ("tests/test_simkernel.py::TestDeliveryPaths::test_first_hop_prefers_the_shorter_queue",
          "tests/test_golden.py::test_benchmark_pool_artifacts_match_pinned_digests"),
     ),
     Mutant(
         "next-hop-key-swapped", "routing.py",
-        "(depth, neighbor) for neighbor, depth in candidates), default=None)\n    return best[1]",
-        "(neighbor, depth) for neighbor, depth in candidates), default=None)\n    return best[0]",
+        "    best = min(candidates, default=None)\n",
+        "    best = min(candidates, key=lambda c: c[::-1], default=None)\n",
         ("tests/test_routing.py::TestSelectNextHop::test_prefers_shallow_queue",
          "tests/test_simkernel.py::TestDeliveryPaths::test_first_hop_prefers_the_shorter_queue"),
+    ),
+    # A forwarding decision costs O(candidates), not O(queue): the same
+    # answers from a scan of the transmit queue make the run quadratic.
+    Mutant(
+        "route-candidates-scan-queue", "simkernel.py",
+        "        return [(depth.get(m, 0) + (m in advs), m) for m in hops]\n",
+        "        return [(sum(to == m for to, _ in radio.txq), m) for m in hops]\n",
+        ("tests/test_simkernel.py::TestWorkGrowsWithContent",),
+    ),
+    # The radio's counts follow every frame queued and popped.
+    Mutant(
+        "queue-depth-never-decremented", "simkernel.py",
+        "            else:\n                radio.depth[to] -= 1\n",
+        "",
+        (COUNTS,),
+    ),
+    # A table's cached next hops are emptied whenever its entries or vectors change.
+    Mutant(
+        "next-hops-stale-after-withdraw", "routing.py",
+        "    table.heard.pop(leaving, None)\n    table.hops.clear()\n",
+        "    table.heard.pop(leaving, None)\n",
+        ("tests/test_routing.py::test_delta_relaxation_matches_full_pass",),
+    ),
+    Mutant(
+        "next-hops-stale-after-relaxation", "routing.py",
+        "    table.hops.clear()\n    if offered is None:\n",
+        "    if offered is None:\n",
+        (COUNTS,),
     ),
     # The engine numbers its records from 0, whatever sink it appends them to.
     Mutant(
