@@ -175,7 +175,6 @@ class Engine:
         self.net: Scatternet | None = None
         self.runtimes: dict[int, NodeRuntime] = {}
         self.radios: dict[int, Radio] = {}
-        self._links: dict[int, tuple[int, ...]] = {}
         # Each piconet's hop sequence, by piconet id, rebuilt at each formation.
         self._hops: list[baseband.HopSequence] = []
         self._msg_counter = 0
@@ -193,6 +192,26 @@ class Engine:
         self._movers = [n for n in self._ids if self.world[n].path]
         # The in-range graph, re-tested only for the pairs a change touches.
         self.near: dict[int, set[int]] = {n: set() for n in self._ids}
+        self._links: dict[int, tuple[int, ...]] = dict.fromkeys(self._ids, ())
+        # The grid: square cells ``_cell_w`` wide, keyed (x // w, y // w).
+        # ``_cells`` holds each cell's nodes, ``_cell_of`` each node's cell and
+        # ``_blocks`` each cell's 3 x 3 block, as the cells in it that exist: a
+        # cell is made when a node first enters it and kept. Two nodes in
+        # range always share a block: math.dist rounds the coordinate difference
+        # and the norm, so a pair it puts in range is less than
+        # max_range * (1 + 1e-15) apart along each axis, under w; and float floor
+        # division is exact while |x / w| < 2**51, which the extent term keeps,
+        # since motion interpolates between waypoints. Without the margin,
+        # class-3 radios at x = 10.0 and x = -1e-16, 10.0 m apart by math.dist,
+        # fall in cells 1 and -1. A position that overflowed to infinity gets a
+        # nan cell, next to no other.
+        extent = max((abs(c) for node in self.world.values()
+                      for _, p in [(0, node.position), *node.path] for c in p), default=0.0)
+        max_range = max((node.range_m for node in self.world.values()), default=1.0)
+        self._cell_w = max_range * (1 + 1e-9) + extent * 2**-50
+        self._cells: dict[tuple[float, float], dict[int, Node]] = {}
+        self._cell_of: dict[int, tuple[float, float]] = {}
+        self._blocks: dict[tuple[float, float], list[dict[int, Node]]] = {}
         # Neighbour expiry keeps one live check per (node, neighbour) pair.
         # ``liveness[n][m]`` is (instant of the latest refresh, number of the
         # first refresh at that instant, whether a check is queued): a silent
@@ -269,28 +288,77 @@ class Engine:
     def _relink(self, changed: list[int]) -> None:
         """Bring the links up to date after the ``changed`` nodes moved or changed state.
 
-        Every pair that touches a changed node is re-tested once, and the
-        scatternet is re-formed when churn broke a piconet or orphaned a node.
+        Each changed node moves to its cell, and every pair that touches a
+        changed node is re-tested once, against the nodes in the block around
+        it; an old neighbour outside the block is out of range. The scatternet
+        is re-formed when churn broke a piconet or orphaned a node. Only the
+        nodes whose in-range set changed, or whose granted links a re-form
+        changed, get a new links tuple, so every other table keeps its cached
+        next hops.
         """
-        done: set[int] = set()
+        world, near_of, cells, cell_of, blocks, w = (
+            self.world, self.near, self._cells, self._cell_of, self._blocks, self._cell_w
+        )
+        moved = []
         for a in changed:
-            node, near = self.world[a], self.near[a]
-            for b, other in self.world.items():
-                if b == a or b in done:
+            node = world[a]
+            x, y = node.position
+            cell = (x // w, y // w)
+            old = cell_of.get(a)
+            if cell != old:
+                if old is not None:
+                    del cells[old][a]
+                    moved.append(a)
+                if cell not in cells:
+                    # A new cell joins the blocks around it, and they join its own.
+                    cells[cell] = {}
+                    block = blocks[cell] = []
+                    for i in (-1, 0, 1):
+                        for j in (-1, 0, 1):
+                            around = (cell[0] + i, cell[1] + j)
+                            if around in cells:
+                                block.append(cells[around])
+                                if around != cell:
+                                    blocks[around].append(cells[cell])
+                cells[cell][a] = node
+                cell_of[a] = cell
+        # A neighbour left outside a moved node's block is out of range; the
+        # nodes whose in-range set changes are ``touched``.
+        touched = set()
+        for a in moved:
+            cx, cy = cell_of[a]
+            near = near_of[a]
+            for b in list(near):
+                bx, by = cell_of[b]
+                if abs(bx - cx) <= 1 and abs(by - cy) <= 1:  # false for a nan cell
                     continue
-                if topology.in_range(node, other):
-                    near.add(b)
-                    self.near[b].add(a)
-                else:
-                    near.discard(b)
-                    self.near[b].discard(a)
+                near.discard(b)
+                near_of[b].discard(a)
+                touched.add(a)
+                touched.add(b)
+        in_range, done = topology.in_range, set()
+        for a in changed:
+            node, near = world[a], near_of[a]
             done.add(a)
+            for cell in blocks[cell_of[a]]:
+                for b, other in cell.items():
+                    if b not in done and in_range(node, other) is not (b in near):
+                        # The pair's link came or went.
+                        if b in near:
+                            near.remove(b)
+                            near_of[b].remove(a)
+                        else:
+                            near.add(b)
+                            near_of[b].add(a)
+                        touched.add(a)
+                        touched.add(b)
         if self.mode is not _SCATTERNET:
-            self._links = {n: tuple(sorted(near)) for n, near in self.near.items()}
+            for n in touched:
+                self._links[n] = tuple(sorted(near_of[n]))
             return
         if self.net is None or self._scatternet_broken():
             active = {
-                n: near for n, near in self.near.items() if self.world[n].state is _ACTIVE
+                n: near for n, near in near_of.items() if world[n].state is _ACTIVE
             }
             self.net = scatternet.form_scatternet(active)
             self._hops = [
@@ -298,13 +366,15 @@ class Engine:
                 for p in self.net.piconets
             ]
             self._emit("scatternet", None, scatternet.scatternet_to_json(self.net))
+            touched = self._ids  # a re-form may move any grant
         granted = self.net.links
-        self._links = {
-            n: tuple(sorted(m for m in near if (n, m) in granted)) for n, near in self.near.items()
-        }
+        for n in touched:
+            links = tuple(sorted(m for m in near_of[n] if (n, m) in granted))
+            if links != self._links[n]:  # an equal tuple keeps the table's cache
+                self._links[n] = links
 
     def links(self, n: int) -> tuple[int, ...]:
-        return self._links.get(n, ())
+        return self._links[n]
 
     def _scatternet_broken(self) -> bool:
         placed = set()

@@ -7,7 +7,10 @@ together over whole runs. The reference run
 - forgets what it last relaxed from each sender, so every advertisement takes
   the full relaxation pass (no repeat shortcut, no delta path);
 - recomputes every table's equal-cost next hops on every call (no cache);
-- re-tests every pair of nodes whenever any node moves or changes state;
+- relinks every node whenever any node moves or changes state, instead of
+  only the changed ones (each still against its block of grid cells:
+  ``test_links_match_the_link_rule_after_every_change`` in
+  ``test_simkernel.py`` checks the grid against every pair);
 - recomputes every seal keystream (no memo);
 - arms one neighbour expiry check per refresh, each acting only if nothing
   was heard since, instead of one live check per pair that re-arms itself;

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from collections import Counter
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bluehop import scenario_path
 from bluehop.routing import process_advertisement
 from bluehop.scatternet import link_allowed
-from bluehop.scenario import parse_scenario, validate_scenario
+from bluehop.scenario import CLASS_DEFAULT_RANGE, parse_scenario, validate_scenario
 from bluehop.simkernel import (
     MOTION_CADENCE_HUS,
     NEIGHBOR_MISS_BUDGET,
@@ -634,6 +635,22 @@ def _line_of_six(mode="geometric", horizon=1.0, flows=1, count=1, interval=0.0):
     )
 
 
+def _mobile_lattice(side):
+    """side x side class-3 nodes 8 m apart, each walking 3 m along both axes for 2 s."""
+    return validate_scenario(
+        {
+            "horizon": 2.0,
+            "protocol": {"t_adv": 2.0},
+            "nodes": [
+                {"id": side * i + j, "x": 8.0 * i, "y": 8.0 * j, "class": 3,
+                 "waypoints": [[2.0, 8.0 * i + 3.0 * (-1) ** j, 8.0 * j + 3.0 * (-1) ** i]]}
+                for i in range(side)
+                for j in range(side)
+            ],
+        }
+    )
+
+
 def _calls_per_record(config):
     """Python function calls made by a whole run, per trace record.
 
@@ -662,7 +679,8 @@ class TestWorkGrowsWithContent:
     Along each axis the work per trace record should stay flat, so four
     times the content may cost only a little more per record. A transmit
     queue scanned per forwarding decision made the flows and burst axes read
-    4.6-5.2 here; linear code reads 0.94-0.99.
+    4.6-5.2 here, and relinking each mover against every node made the nodes
+    axis read 1.40; linear code reads 0.94-0.99.
     """
 
     @pytest.mark.parametrize(
@@ -674,8 +692,10 @@ class TestWorkGrowsWithContent:
             # One flow's messages at interval 0 queue behind each other.
             lambda k: _line_of_six(count=50 * k),
             lambda k: _line_of_six(mode="scatternet", count=50 * k),
+            # Relinking tests each mover against the nodes around it, not all.
+            lambda k: _mobile_lattice(6 * math.isqrt(k)),
         ],
-        ids=["horizon", "flows", "burst", "scatternet-burst"],
+        ids=["horizon", "flows", "burst", "scatternet-burst", "nodes"],
     )
     def test_calls_per_record_stay_flat(self, make):
         ratio = _calls_per_record(make(4)) / _calls_per_record(make(1))
@@ -755,23 +775,26 @@ class TestScatternetMode:
                 assert len(pico["active_slaves"]) <= 7
 
 
-# A 2 m grid puts many pairs exactly 10 m apart, which is the class-3 range.
-GRID = st.integers(0, 10).map(lambda k: 2.0 * k)
-
-
 @st.composite
 def churning_scenarios(draw):
+    # The kernel's grid cells are as wide as the largest range, so positions
+    # lie on a grid of a fifth of it, centred on 0: many pairs sit exactly one
+    # range apart, and nodes fall in cells on both sides of zero.
+    classes = draw(st.sampled_from([(3,), (3, 2), (3, 2, 1)]))
+    step = CLASS_DEFAULT_RANGE[classes[-1]] / 5
+    grid = st.integers(-10, 10).map(lambda k: step * k)
     n = draw(st.integers(1, 12))
     nodes = []
     for i in range(n):
-        node = {"id": i, "x": draw(GRID), "y": draw(GRID), "class": 3}
-        if draw(st.booleans()):
+        cls = draw(st.sampled_from(classes))
+        node = {"id": i, "x": draw(grid), "y": draw(grid), "class": cls}
+        if cls == 3 and draw(st.booleans()):
             node["range"] = draw(st.sampled_from([6.0, 8.0]))
         if draw(st.booleans()):
             t, waypoints = 0.0, []
             for _ in range(draw(st.integers(1, 3))):
                 t += draw(st.sampled_from([0.1, 0.25, 0.3]))
-                waypoints.append([round(t, 2), draw(GRID), draw(GRID)])
+                waypoints.append([round(t, 2), draw(grid), draw(grid)])
             node["waypoints"] = waypoints
         nodes.append(node)
     actions = []
@@ -796,7 +819,10 @@ def churning_scenarios(draw):
 def test_links_match_the_link_rule_after_every_change(data):
     # The kernel keeps the in-range graph incrementally; after every motion
     # tick and action it must agree with the rule evaluated from scratch.
-    engine = Engine(validate_scenario(data), 0)
+    _assert_links_follow_the_rule(Engine(validate_scenario(data), 0))
+
+
+def _assert_links_follow_the_rule(engine):
     ticks = range(0, engine.horizon + 1, MOTION_CADENCE_HUS)
     for t in sorted({*ticks, *(a.time_hus for a in engine.config.actions)}):
         engine.run(until=t)
@@ -806,3 +832,77 @@ def test_links_match_the_link_rule_after_every_change(data):
                 m for m in ids if link_allowed(n, m, engine.world, engine.net, engine.mode)
             )
             assert engine.links(n) == want, (t, n)
+
+
+def test_links_follow_the_rule_where_motion_overflows():
+    # Interpolating a leg from -1e308 to 1e308 m overflows, so node 0 leaves
+    # node 1 for a position that is in range of nothing, until the leg ends.
+    config = validate_scenario(
+        {
+            "horizon": 1.0,
+            "nodes": [
+                {"id": 0, "x": -1e308, "y": 0.0, "class": 3, "waypoints": [[1.0, 1e308, 0.0]]},
+                {"id": 1, "x": -1e308, "y": 0.0, "class": 3},
+                {"id": 2, "x": 1e308, "y": 0.0, "class": 3},
+            ],
+        }
+    )
+    _assert_links_follow_the_rule(Engine(config, 0))
+
+
+@pytest.mark.parametrize("mode", ["geometric", "scatternet"])
+@pytest.mark.parametrize(
+    "x0,x1",
+    [
+        # math.dist puts these class-3 radios exactly 10.0 m apart, so they
+        # link. Cells of exactly 10 m would put them in cells 1 and -1.
+        (10.0, -1e-16),
+        # Adjacent floats 8 m apart, so far out that x // w rounds: cells
+        # 10 * (1 + 1e-9) m wide, with no term for the coordinates' size,
+        # would put them two cells apart.
+        (4.292393812873162e16, 4.2923938128731624e16),
+    ],
+    ids=["across-zero", "far-out"],
+)
+def test_a_pair_at_the_edge_of_a_cell_is_linked(mode, x0, x1):
+    config = validate_scenario(
+        {
+            "link_mode": mode,
+            "horizon": 0.5,
+            "nodes": [
+                {"id": 0, "x": x0, "y": 0.0, "class": 3},
+                {"id": 1, "x": x1, "y": 0.0, "class": 3},
+            ],
+        }
+    )
+    engine = Engine(config, 0)
+    engine.run(until=0)
+    assert engine.links(0) == (1,) and engine.links(1) == (0,)
+
+
+@pytest.mark.parametrize("mode", ["geometric", "scatternet"])
+def test_a_motion_tick_keeps_the_links_tuples_it_does_not_change(mode):
+    # Node 2 walks but stays in range of 0 and 1; far off, node 4 walks away
+    # from node 3. Tables cache next hops per links tuple object, so the nodes
+    # whose links hold must keep the very same tuple.
+    config = validate_scenario(
+        {
+            "link_mode": mode,
+            "horizon": 1.0,
+            "nodes": [
+                {"id": 0, "x": 0.0, "y": 0.0, "class": 3},
+                {"id": 1, "x": 5.0, "y": 0.0, "class": 3},
+                {"id": 2, "x": -3.0, "y": 0.0, "class": 3, "waypoints": [[1.0, -4.0, 0.0]]},
+                {"id": 3, "x": 30.0, "y": 0.0, "class": 3},
+                {"id": 4, "x": 35.0, "y": 0.0, "class": 3, "waypoints": [[1.0, 45.0, 0.0]]},
+            ],
+        }
+    )
+    engine = Engine(config, 0)
+    engine.run(until=0)
+    kept = {n: engine.links(n) for n in (0, 1, 2)}
+    assert engine.links(3) == (4,)
+    engine.run()
+    assert engine.links(3) == ()
+    for n, links in kept.items():
+        assert engine.links(n) is links, n

@@ -60,18 +60,53 @@ MUTANTS = (
     ),
     Mutant(
         "relink-skips-first-mover", "simkernel.py",
-        "        for a in changed:\n", "        for a in changed[1:]:\n",
+        "        for a in changed:\n            node, near = world[a], near_of[a]\n",
+        "        for a in changed[1:]:\n            node, near = world[a], near_of[a]\n",
         (LINKS_PROPERTY,),
     ),
     Mutant(
         "relink-skips-last-mover", "simkernel.py",
-        "        for a in changed:\n", "        for a in changed[:-1]:\n",
+        "        for a in changed:\n            node, near = world[a], near_of[a]\n",
+        "        for a in changed[:-1]:\n            node, near = world[a], near_of[a]\n",
+        (LINKS_PROPERTY,),
+    ),
+    # Only pairs in one 3 x 3 block of cells are tested, so a cell must be wider
+    # than the largest range by more than math.dist's rounding.
+    Mutant(
+        "grid-cell-without-margin", "simkernel.py",
+        "        self._cell_w = max_range * (1 + 1e-9) + extent * 2**-50\n",
+        "        self._cell_w = max_range\n",
+        ("tests/test_simkernel.py::test_a_pair_at_the_edge_of_a_cell_is_linked",),
+    ),
+    Mutant(
+        "grid-cell-without-extent", "simkernel.py",
+        "        self._cell_w = max_range * (1 + 1e-9) + extent * 2**-50\n",
+        "        self._cell_w = max_range * (1 + 1e-9)\n",
+        ("tests/test_simkernel.py::test_a_pair_at_the_edge_of_a_cell_is_linked",),
+    ),
+    Mutant(
+        "relink-ignores-grid", "simkernel.py",
+        "            for cell in blocks[cell_of[a]]:\n", "            for cell in (world,):\n",
+        ("tests/test_simkernel.py::TestWorkGrowsWithContent::test_calls_per_record_stay_flat[nodes]",),
+    ),
+    # A node moved to a nan cell (its position overflowed) leaves every neighbour.
+    Mutant(
+        "relink-keeps-neighbours-of-a-nan-cell", "simkernel.py",
+        "                if abs(bx - cx) <= 1 and abs(by - cy) <= 1:  # false for a nan cell\n",
+        "                if not (abs(bx - cx) > 1 or abs(by - cy) > 1):\n",
+        ("tests/test_simkernel.py::test_links_follow_the_rule_where_motion_overflows",),
+    ),
+    # Every node whose in-range set changed gets a new links tuple, not only the changed ones.
+    Mutant(
+        "links-rebuilt-only-for-changed", "simkernel.py",
+        "            for n in touched:\n                self._links[n] = tuple(sorted(near_of[n]))\n",
+        "            for n in changed:\n                self._links[n] = tuple(sorted(near_of[n]))\n",
         (LINKS_PROPERTY,),
     ),
     # In scatternet mode a node links only the in-range neighbours it holds a grant for.
     Mutant(
         "scatternet-links-ignore-grants", "simkernel.py",
-        "tuple(sorted(m for m in near if (n, m) in granted))", "tuple(sorted(near))",
+        "tuple(sorted(m for m in near_of[n] if (n, m) in granted))", "tuple(sorted(near_of[n]))",
         (LINKS_PROPERTY,),
     ),
     # The periodic timers re-arm under the two numbers reserved at set-up.
