@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .metrics import summarize
-from .scenario import ScenarioError, parse_scenario, sec_to_hus
+from .scenario import HUS_PER_SECOND, ScenarioError, parse_scenario, sec_to_hus
 from .simkernel import Engine
 
 CSV_HEADER = ["msg_id", "src", "dst", "bytes", "outcome", "hops", "latency_us", "retries"]
@@ -125,10 +125,11 @@ def _seed_range(text: str) -> range:
 
 
 def _sim_seconds(text: str) -> float:
-    """Argument type of ``--at``: a finite number of simulated seconds, at least 0."""
+    """Argument type of ``--at``: simulated seconds >= 0 whose half-microsecond count is finite."""
     value = float(text)  # argparse reports a ValueError as an invalid value
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"expected finite seconds >= 0, got {text!r}")
+    if not math.isfinite(value * HUS_PER_SECOND) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected seconds >= 0 with a finite half-microsecond count, got {text!r}")
     return value
 
 

@@ -116,10 +116,10 @@ class Radio:
     """A node's transmitter: its queue of (neighbour, body) frames, where a None
     body is an advertisement built at send time, and the end of its airtime.
 
-    ``advs`` holds the neighbours with an advertisement queued, and ``depth``
-    counts the other queued frames per neighbour, so ``depth.get(m, 0) + (m in
-    advs)`` frames are queued to m: advertisements coalesce to one per link.
-    Only ``Engine._enqueue_frame`` appends and ``Engine._try_service`` pops.
+    ``depth`` counts the frames queued to each neighbour, advertisements
+    included, and ``advs`` holds the neighbours with an advertisement queued:
+    they coalesce to one per link. Only ``Engine._enqueue_frame`` appends and
+    ``Engine._try_service`` pops.
     """
 
     txq: deque[tuple[int, Body | None]] = field(default_factory=deque)
@@ -178,7 +178,6 @@ class Engine:
         # Each piconet's hop sequence, by piconet id, rebuilt at each formation.
         self._hops: list[baseband.HopSequence] = []
         self._msg_counter = 0
-        self._started = False
         # Every message's sender-side state, kept engine-wide so a reboot or a
         # late packet can never lose or double-count an outcome.
         self.transfers: dict[int, transport.PendingTransfer] = {}
@@ -192,7 +191,7 @@ class Engine:
         self._movers = [n for n in self._ids if self.world[n].path]
         # The in-range graph, re-tested only for the pairs a change touches.
         self.near: dict[int, set[int]] = {n: set() for n in self._ids}
-        self._links: dict[int, tuple[int, ...]] = dict.fromkeys(self._ids, ())
+        self.links: dict[int, tuple[int, ...]] = dict.fromkeys(self._ids, ())
         # The grid: square cells ``_cell_w`` wide, keyed (x // w, y // w).
         # ``_cells`` holds each cell's nodes, ``_cell_of`` each node's cell and
         # ``_blocks`` each cell's 3 x 3 block, as the cells in it that exist: a
@@ -212,18 +211,18 @@ class Engine:
         self._cells: dict[tuple[float, float], dict[int, Node]] = {}
         self._cell_of: dict[int, tuple[float, float]] = {}
         self._blocks: dict[tuple[float, float], list[dict[int, Node]]] = {}
-        # Neighbour expiry keeps one live check per (node, neighbour) pair.
-        # ``liveness[n][m]`` is (instant of the latest refresh, number of the
-        # first refresh at that instant, whether a check is queued): a silent
-        # neighbour expires at (instant + _expiry_hus, number), the key the
-        # first check armed at that instant would hold if every refresh armed
-        # its own. It outlives forgets and reboots, as queued checks do.
-        self.liveness: dict[int, dict[int, tuple[int, int, bool]]] = {n: {} for n in self._ids}
+        # Neighbour expiry keeps one queued check per (node, neighbour) pair.
+        # ``liveness[n][m]`` is (instant of the latest refresh, number taken by
+        # the first refresh at that instant) and exists exactly while the pair's
+        # check is queued: a silent neighbour expires at (instant + _expiry_hus,
+        # number), where the first check armed at that instant would act if
+        # every refresh armed its own.
+        self.liveness: dict[int, dict[int, tuple[int, int]]] = {n: {} for n in self._ids}
+        self._start()
 
     # ------------------------------------------------------------------ setup
 
     def _start(self) -> None:
-        self._started = True
         topology.apply_motion(self.world, 0)
         self._relink(self._ids)
         for n in self._ids:
@@ -252,8 +251,6 @@ class Engine:
 
     def run(self, until: int | None = None):
         """Advance the run to ``until`` (default: the horizon). Resumable."""
-        if not self._started:
-            self._start()
         handlers = {
             EventKind.MOTION_UPDATE: self._on_motion,
             EventKind.ADVERTISEMENT_TIMER: self._on_adv_round,
@@ -352,11 +349,7 @@ class Engine:
                             near_of[b].add(a)
                         touched.add(a)
                         touched.add(b)
-        if self.mode is not _SCATTERNET:
-            for n in touched:
-                self._links[n] = tuple(sorted(near_of[n]))
-            return
-        if self.net is None or self._scatternet_broken():
+        if self.mode is _SCATTERNET and (self.net is None or self._scatternet_broken()):
             active = {
                 n: near for n, near in near_of.items() if world[n].state is _ACTIVE
             }
@@ -367,14 +360,12 @@ class Engine:
             ]
             self._emit("scatternet", None, scatternet.scatternet_to_json(self.net))
             touched = self._ids  # a re-form may move any grant
-        granted = self.net.links
+        granted = self.net.links if self.mode is _SCATTERNET else None
         for n in touched:
-            links = tuple(sorted(m for m in near_of[n] if (n, m) in granted))
-            if links != self._links[n]:  # an equal tuple keeps the table's cache
-                self._links[n] = links
-
-    def links(self, n: int) -> tuple[int, ...]:
-        return self._links[n]
+            near = near_of[n] if granted is None else [m for m in near_of[n] if (n, m) in granted]
+            links = tuple(sorted(near))
+            if links != self.links[n]:  # an equal tuple keeps the table's cache
+                self.links[n] = links
 
     def _scatternet_broken(self) -> bool:
         placed = set()
@@ -394,7 +385,7 @@ class Engine:
     # -------------------------------------------------------------- protocol
 
     def _init_node_routing(self, n: int) -> None:
-        neighbors = self.links(n)
+        neighbors = self.links[n]
         self.runtimes[n] = NodeRuntime(table=routing.init_routing(n, neighbors, self.inf))
         self.radios[n] = Radio()  # known fault: drops queued frames, forgets the airtime
         for m in neighbors:
@@ -402,21 +393,16 @@ class Engine:
             self._enqueue_adv(n, m)
 
     def _refresh_neighbor(self, n: int, neighbor: int) -> None:
-        """Note ``neighbor`` as heard now; queue a check that expires it unless one is live.
-
-        Every refresh takes a sequence number, so every other event keeps the
-        number it had when each refresh armed a check of its own.
-        """
+        """Note ``neighbor`` as heard now; queue a check that expires it unless one is queued."""
         now = self.now
         self.runtimes[n].known.add(neighbor)
-        seq = self.queue.reserve()
         pairs = self.liveness[n]
-        heard, first, queued = pairs.get(neighbor) or (None, seq, False)
-        if heard != now:
-            first = seq
-        pairs[neighbor] = (now, first, True)
-        if not queued:
-            self.queue.schedule(now, now + self._expiry_hus, _EXPIRY, n, neighbor, sequence=first)
+        live = pairs.get(neighbor)
+        if live is None or live[0] != now:
+            seq = self.queue.reserve()
+            pairs[neighbor] = (now, seq)
+            if live is None:
+                self.queue.schedule(now, now + self._expiry_hus, _EXPIRY, n, neighbor, sequence=seq)
 
     def _enqueue_adv(self, n: int, to: int) -> None:
         # One queued advertisement per neighbour; content built at send.
@@ -424,31 +410,28 @@ class Engine:
             self._enqueue_frame(n, to, None)
 
     def _broadcast_advs(self, n: int) -> None:
-        for m in self.links(n):
+        for m in self.links[n]:
             self._enqueue_adv(n, m)
 
     def _enqueue_frame(self, n: int, to: int, body: Body | None) -> None:
         radio = self.radios[n]
         radio.txq.append((to, body))
+        radio.depth[to] = radio.depth.get(to, 0) + 1
         if body is None:
             radio.advs.add(to)
-        else:
-            depth = radio.depth
-            depth[to] = depth.get(to, 0) + 1
         if radio.busy_until <= self.now:
             self._try_service(n, radio)
 
     def _route_candidates(self, n: int, dest: int) -> list[tuple[int, int]]:
         """(frames queued to it, neighbour) for each minimal-cost next hop toward ``dest``."""
-        hops = routing.next_hops(self.runtimes[n].table, dest, self._links[n])
-        radio = self.radios[n]
-        depth, advs = radio.depth, radio.advs
-        return [(depth.get(m, 0) + (m in advs), m) for m in hops]
+        hops = routing.next_hops(self.runtimes[n].table, dest, self.links[n])
+        depth = self.radios[n].depth
+        return [(depth.get(m, 0), m) for m in hops]
 
     def _trigger_discovery(self, n: int, target: int) -> None:
         self._emit("discovery", n, {"target": target})
         msg = routing.trigger_discovery(self.runtimes[n].table, target)
-        for m in self.links(n):
+        for m in self.links[n]:
             self._enqueue_frame(n, m, msg)
 
     def _forget_neighbor(self, n: int, neighbor: int) -> None:
@@ -469,13 +452,12 @@ class Engine:
         now = self.now
         while radio.txq:
             to, body = radio.txq.popleft()
+            radio.depth[to] -= 1
             if body is None:
                 radio.advs.remove(to)
                 # Content is built at transmission time so a queued triggered
                 # advertisement always carries the latest table.
                 body = routing.make_advertisement(self.runtimes[n].table, to)
-            else:
-                radio.depth[to] -= 1
             if self.world[n].state is not _ACTIVE:
                 self._lost(n, "to", to, body, "sender_inactive")
                 continue
@@ -530,20 +512,20 @@ class Engine:
     def _on_neighbor_expiry(self, n: int, neighbor: int) -> None:
         """Expire a silent neighbour, or re-arm the pair's check at its next due time."""
         pairs = self.liveness[n]
-        heard, first, _ = pairs[neighbor]
-        if neighbor not in self.runtimes[n].known or self.world[n].state is not _ACTIVE:
-            # Forgotten or powered off: the next refresh arms a new check.
-            pairs[neighbor] = (heard, first, False)
-            return
+        heard, seq = pairs[neighbor]
+        live = neighbor in self.runtimes[n].known and self.world[n].state is _ACTIVE
         due = heard + self._expiry_hus
-        if due > self.now:
-            # Refreshed since this check was armed.
-            self.queue.schedule(self.now, due, _EXPIRY, n, neighbor, sequence=first)
+        if heard == self.now or live and due > self.now:
+            # Refreshed since this check was armed. A pair heard at this very
+            # instant keeps its check even if it is forgotten or off, so a later
+            # refresh at this instant keeps the instant's number.
+            self.queue.schedule(self.now, due, _EXPIRY, n, neighbor, sequence=seq)
             return
-        pairs[neighbor] = (heard, first, False)
-        # A silent neighbour is treated exactly like a withdraw from it.
-        self._emit("neighbor_expiry", n, {"neighbor": neighbor})
-        self._forget_neighbor(n, neighbor)
+        del pairs[neighbor]  # the next refresh arms a new check
+        if live:
+            # A silent neighbour is treated exactly like a withdraw from it.
+            self._emit("neighbor_expiry", n, {"neighbor": neighbor})
+            self._forget_neighbor(n, neighbor)
 
     def _on_scenario_action(self, spec: TrafficSpec | ActionSpec, k: int = 0, seq: int = 0) -> None:
         """Run an action, or send repetition ``k`` of a flow and re-arm the next."""
@@ -562,7 +544,7 @@ class Engine:
         The node is gone at once, so farewells skip the transmit queue and slot
         discipline: traced as ``ctrl_sent`` with no ``channel``, they arrive a slot later.
         """
-        neighbors = self.links(n)
+        neighbors = self.links[n]
         self._emit("withdraw_action", n, {"neighbors": list(neighbors)})
         msg = routing.ControlMessage(routing.MessageKind.WITHDRAW, origin=n)
         for m in neighbors:
@@ -684,7 +666,7 @@ class Engine:
         if self.world[n].state is not _ACTIVE:
             self._lost(n, "from", sender, body, "receiver_inactive")
             return
-        linked = sender in self._links[n]
+        linked = sender in self.links[n]
         body_type = type(body)
         if body_type is routing.ControlMessage:
             kind = body.kind
@@ -721,7 +703,7 @@ class Engine:
         fwd = routing.forward_discovery(self.runtimes[n].table, msg)
         if fwd is None:
             return
-        for m in self.links(n):
+        for m in self.links[n]:
             if m != sender:
                 self._enqueue_frame(n, m, fwd)
 
@@ -836,7 +818,7 @@ class Engine:
     def topo_json(self) -> dict:
         out = {
             "adjacency": {
-                str(n): list(self.links(n)) for n in sorted(self.world)
+                str(n): list(self.links[n]) for n in sorted(self.world)
             }
         }
         if self.mode is _SCATTERNET and self.net is not None:

@@ -199,7 +199,7 @@ class TestExitCodes:
         assert "not allowed with" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("at", ["nan", "inf", "-1", "x"])
+    @pytest.mark.parametrize("at", ["nan", "inf", "-1", "x", "1e303"])
     def test_bad_time_is_usage_error(self, at, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tables", scenario_path("line5.json"), "--at", at])

@@ -223,7 +223,7 @@ def _expiries(trace):
 
 
 class TestExpiryChecks:
-    """One live expiry check per (node, neighbour) pair, whatever the refresh rate."""
+    """One queued expiry check per (node, neighbour) pair, whatever the refresh rate."""
 
     def test_queue_holds_one_check_per_directed_link(self):
         # A 6-node clique refreshed every 10 ms: 30 directed links, where one
@@ -300,22 +300,93 @@ class TestExpiryChecks:
             _, reference = run_scenario(config, 0)
         assert reference == trace
 
+    @pytest.mark.parametrize("away", [
+        {"time": 0.0403, "node": 0, "action": "set_state", "state": "off"},
+        {"time": 0.0403, "node": 1, "action": "withdraw"},
+    ], ids=["node-off", "neighbour-withdrawn"])
+    def test_a_dropped_check_leaves_the_next_refresh_to_arm_one(self, away):
+        # Node 0's check on node 1 comes due at 60.625 ms while node 0 is off,
+        # or after node 1 withdrew and node 0 forgot it, so it is dropped with
+        # its record. Both are back at 100.3 ms; node 1 then falls silent and
+        # expires once, a budget after it was last heard.
+        back = dict(away, time=0.1003, action="set_state", state="active")
+        config = validate_scenario(
+            {
+                "horizon": 0.2,
+                "protocol": {"t_adv": 0.01},
+                "nodes": [
+                    {"id": 0, "x": 0.0, "y": 0.0, "class": 3},
+                    {"id": 1, "x": 5.0, "y": 0.0, "class": 3},
+                ],
+                "actions": [
+                    away, back, {"time": 0.1502, "node": 1, "action": "set_state", "state": "off"},
+                ],
+            }
+        )
+        engine = Engine(config, 0)
+        engine.run(until=180_000)  # 90 ms: dropped, and nothing heard since
+        assert 1 not in engine.liveness[0]
+        checks = [e.args for e in engine.queue.heap if e.kind is EventKind.NEIGHBOR_EXPIRY]
+        assert (0, 1) not in checks
+        _, trace = engine.run()
+        last_heard = max(
+            r["t_us"] for r in trace
+            if r["kind"] == "ctrl_rx" and r["node"] == 0 and r["detail"]["from"] == 1
+        )
+        budget_us = NEIGHBOR_MISS_BUDGET * engine.t_adv // 2
+        assert last_heard > 100_300
+        assert [e for e in _expiries(trace) if e[1] == 0] == [(last_heard + budget_us, 0, 1)]
+        with all_reference():
+            _, reference = Engine(config, 0).run()
+        assert reference == trace
+
+    def test_a_check_due_at_the_instant_of_a_refresh_keeps_the_expiry_order(self):
+        # Node 0 powers on at 70.625 ms, so its checks on nodes 1 and 2 come due
+        # at 100.625 ms. At that instant it power-cycles twice, hearing node 1
+        # and then node 2 on the first power-on, while node 1 is off for the
+        # second: the check on node 1 finds it forgotten, and node 1's
+        # advertisement then arrives. Nodes 1 and 2 fall silent at once, and the
+        # first refresh at 100.625 ms, node 1's, expires first.
+        def state(t, node, to):
+            return {"time": t, "node": node, "action": "set_state", "state": to}
+
+        t = 0.100625
+        config = validate_scenario(
+            {
+                "horizon": 0.2,
+                "protocol": {"t_adv": 0.01},
+                "nodes": [
+                    {"id": 0, "x": 0.0, "y": 0.0, "class": 3, "state": "off"},
+                    {"id": 1, "x": 5.0, "y": 0.0, "class": 3},
+                    {"id": 2, "x": 0.0, "y": 5.0, "class": 3},
+                ],
+                "actions": [
+                    state(t - 0.03, 0, "active"),
+                    state(t, 0, "off"), state(t, 0, "active"), state(t, 1, "off"),
+                    state(t, 0, "off"), state(t, 0, "active"), state(t, 1, "active"),
+                    state(t + 5e-7, 1, "off"), state(t + 5e-7, 2, "off"),
+                ],
+            }
+        )
+        _, trace = run_scenario(config, 0)
+        assert _expiries(trace) == [(130_625, 0, 1), (130_625, 0, 2)]
+        with all_reference():
+            _, reference = run_scenario(config, 0)
+        assert reference == trace
+
     @settings(max_examples=20, deadline=None)
     @given(scenarios())
-    def test_each_pair_has_its_queued_flag_and_at_most_one_check(self, config):
+    def test_each_pair_has_a_record_while_its_one_check_is_queued(self, config):
         engine = Engine(config, 0)
         step = config.horizon_hus // 10 + 1
         for until in range(0, config.horizon_hus + step, step):
             engine.run(until=until)
             checks = Counter(e.args for e in engine.queue.heap if e.kind is EventKind.NEIGHBOR_EXPIRY)
-            flagged = {
-                (n, m) for n, pairs in engine.liveness.items()
-                for m, (_, _, queued) in pairs.items() if queued
-            }
-            assert checks == dict.fromkeys(flagged, 1)
+            recorded = {(n, m) for n, pairs in engine.liveness.items() for m in pairs}
+            assert checks == dict.fromkeys(recorded, 1)
             for n, rt in engine.runtimes.items():
                 if engine.world[n].state is NodeState.ACTIVE:
-                    assert {(n, m) for m in rt.known} <= flagged
+                    assert {(n, m) for m in rt.known} <= recorded
 
 
 class TestDeliveryPaths:
@@ -831,7 +902,7 @@ def _assert_links_follow_the_rule(engine):
             want = tuple(
                 m for m in ids if link_allowed(n, m, engine.world, engine.net, engine.mode)
             )
-            assert engine.links(n) == want, (t, n)
+            assert engine.links[n] == want, (t, n)
 
 
 def test_links_follow_the_rule_where_motion_overflows():
@@ -877,7 +948,7 @@ def test_a_pair_at_the_edge_of_a_cell_is_linked(mode, x0, x1):
     )
     engine = Engine(config, 0)
     engine.run(until=0)
-    assert engine.links(0) == (1,) and engine.links(1) == (0,)
+    assert engine.links[0] == (1,) and engine.links[1] == (0,)
 
 
 @pytest.mark.parametrize("mode", ["geometric", "scatternet"])
@@ -900,9 +971,9 @@ def test_a_motion_tick_keeps_the_links_tuples_it_does_not_change(mode):
     )
     engine = Engine(config, 0)
     engine.run(until=0)
-    kept = {n: engine.links(n) for n in (0, 1, 2)}
-    assert engine.links(3) == (4,)
+    kept = {n: engine.links[n] for n in (0, 1, 2)}
+    assert engine.links[3] == (4,)
     engine.run()
-    assert engine.links(3) == ()
+    assert engine.links[3] == ()
     for n, links in kept.items():
-        assert engine.links(n) is links, n
+        assert engine.links[n] is links, n

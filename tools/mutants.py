@@ -99,14 +99,13 @@ MUTANTS = (
     # Every node whose in-range set changed gets a new links tuple, not only the changed ones.
     Mutant(
         "links-rebuilt-only-for-changed", "simkernel.py",
-        "            for n in touched:\n                self._links[n] = tuple(sorted(near_of[n]))\n",
-        "            for n in changed:\n                self._links[n] = tuple(sorted(near_of[n]))\n",
+        "        for n in touched:\n", "        for n in changed:\n",
         (LINKS_PROPERTY,),
     ),
     # In scatternet mode a node links only the in-range neighbours it holds a grant for.
     Mutant(
         "scatternet-links-ignore-grants", "simkernel.py",
-        "tuple(sorted(m for m in near_of[n] if (n, m) in granted))", "tuple(sorted(near_of[n]))",
+        "[m for m in near_of[n] if (n, m) in granted]", "near_of[n]",
         (LINKS_PROPERTY,),
     ),
     # The periodic timers re-arm under the two numbers reserved at set-up.
@@ -185,7 +184,7 @@ MUTANTS = (
     # One live expiry check per (node, neighbour) pair.
     Mutant(
         "expiry-never-rearmed", "simkernel.py",
-        "            self.queue.schedule(self.now, due, _EXPIRY, n, neighbor, sequence=first)\n"
+        "            self.queue.schedule(self.now, due, _EXPIRY, n, neighbor, sequence=seq)\n"
         "            return\n",
         "            return\n",
         (EXPIRY, "tests/test_simkernel.py::TestChurnReactions"),
@@ -195,15 +194,29 @@ MUTANTS = (
     # neighbour, so this re-stamps the pairs at power-on.
     Mutant(
         "liveness-restamped-at-power-on", "simkernel.py",
-        "        if heard != now:\n            first = seq\n",
-        "        first = seq\n",
+        "        if live is None or live[0] != now:\n", "        if True:\n",
         (f"{EXPIRY}::test_reboot_at_the_instant_of_a_refresh_keeps_the_expiry_order",),
+    ),
+    # A pair's record lives exactly while its check is queued.
+    Mutant(
+        "liveness-kept-when-check-dropped", "simkernel.py",
+        "        del pairs[neighbor]  # the next refresh arms a new check\n",
+        "        if live:\n            del pairs[neighbor]\n",
+        (f"{EXPIRY}::test_a_dropped_check_leaves_the_next_refresh_to_arm_one",),
+    ),
+    # A check that finds its pair forgotten or off at the instant the pair was
+    # heard stays queued, so a refresh later at that instant keeps its number.
+    Mutant(
+        "liveness-dropped-at-the-instant-of-a-refresh", "simkernel.py",
+        "        if heard == self.now or live and due > self.now:\n",
+        "        if live and due > self.now:\n",
+        (f"{EXPIRY}::test_a_check_due_at_the_instant_of_a_refresh_keeps_the_expiry_order",),
     ),
     Mutant(
         "liveness-reset-at-power-on", "simkernel.py",
         "        self.radios[n] = Radio()",
         "        self.liveness[n] = {}\n        self.radios[n] = Radio()",
-        (f"{EXPIRY}::test_each_pair_has_its_queued_flag_and_at_most_one_check",
+        (f"{EXPIRY}::test_each_pair_has_a_record_while_its_one_check_is_queued",
          f"{EXPIRY}::test_reboot_at_the_instant_of_a_refresh_keeps_the_expiry_order"),
     ),
     # A radio is serviced only when it can send.
@@ -222,7 +235,7 @@ MUTANTS = (
     # Equal-cost next hops break ties by the frames queued to each.
     Mutant(
         "route-candidates-ignore-queue-depth", "simkernel.py",
-        "        return [(depth.get(m, 0) + (m in advs), m) for m in hops]\n",
+        "        return [(depth.get(m, 0), m) for m in hops]\n",
         "        return [(0, m) for m in hops]\n",
         ("tests/test_simkernel.py::TestDeliveryPaths::test_first_hop_prefers_the_shorter_queue",
          "tests/test_golden.py::test_benchmark_pool_artifacts_match_pinned_digests"),
@@ -238,15 +251,20 @@ MUTANTS = (
     # answers from a scan of the transmit queue make the run quadratic.
     Mutant(
         "route-candidates-scan-queue", "simkernel.py",
-        "        return [(depth.get(m, 0) + (m in advs), m) for m in hops]\n",
-        "        return [(sum(to == m for to, _ in radio.txq), m) for m in hops]\n",
+        "        return [(depth.get(m, 0), m) for m in hops]\n",
+        "        return [(sum(to == m for to, _ in self.radios[n].txq), m) for m in hops]\n",
         ("tests/test_simkernel.py::TestWorkGrowsWithContent",),
     ),
-    # The radio's counts follow every frame queued and popped.
+    # The radio's counts follow every frame queued and popped, advertisements included.
     Mutant(
         "queue-depth-never-decremented", "simkernel.py",
-        "            else:\n                radio.depth[to] -= 1\n",
-        "",
+        "            radio.depth[to] -= 1\n", "",
+        (COUNTS,),
+    ),
+    Mutant(
+        "queue-depth-skips-advertisements", "simkernel.py",
+        "        radio.depth[to] = radio.depth.get(to, 0) + 1\n",
+        "        if body is not None:\n            radio.depth[to] = radio.depth.get(to, 0) + 1\n",
         (COUNTS,),
     ),
     # A table's cached next hops are emptied whenever its entries or vectors change.
