@@ -5,7 +5,7 @@ protocol timers and packet arrivals. Time is an integer half-microsecond
 counter. At one instant the motion tick, then the advertisement round, run
 right after the events armed when set-up started each node's routing; every
 other tie breaks by scheduling order. Every random quantity (hop sequences,
-payload seals, synthetic payloads) derives from the scenario seed through a
+payload seals, synthetic payloads) derives from the engine seed through a
 named label, so two runs of the same (config, seed) produce byte-identical
 traces.
 """
@@ -66,10 +66,15 @@ _new_event = tuple.__new__
 
 
 class EventQueue:
-    """Min-heap of events ordered by (time, scheduling sequence); ``heap[0]`` is next."""
+    """Min-heap of the events that can still run, ordered by (time, scheduling
+    sequence); ``heap[0]`` is next.
 
-    def __init__(self) -> None:
+    An event due after ``horizon`` never runs, so it is never queued.
+    """
+
+    def __init__(self, horizon: int) -> None:
         self.heap: list[Event] = []
+        self.horizon = horizon
         self._sequence = 0
 
     def __len__(self) -> int:
@@ -78,11 +83,14 @@ class EventQueue:
     def schedule(self, now: int, time: int, kind: EventKind, *args, sequence=None) -> None:
         """Push an event under the next number, or under ``sequence`` taken with ``reserve``.
 
-        At most one event is queued under a reserved number at a time, so no
-        two queued events share a (time, sequence) key.
+        An event due after the horizon is dropped; the events queued keep their
+        order. At most one event is queued under a reserved number at a time,
+        so no two queued events share a (time, sequence) key.
         """
         if time < now:
             raise CausalityError(f"event at {time} scheduled from {now}")
+        if time > self.horizon:
+            return
         if sequence is None:
             sequence = self._sequence
             self._sequence += 1
@@ -167,7 +175,7 @@ class Engine:
         self.bits_per_slot = baseband.BITS_PER_SLOT * config.rate_multiplier
         self.horizon = config.horizon_hus
         self.now = 0
-        self.queue = EventQueue()
+        self.queue = EventQueue(self.horizon)
         self.trace = [] if trace is None else trace
         self._record_seq = count()
         self.metrics = metrics.Metrics()
@@ -211,12 +219,13 @@ class Engine:
         self._cells: dict[tuple[float, float], dict[int, Node]] = {}
         self._cell_of: dict[int, tuple[float, float]] = {}
         self._blocks: dict[tuple[float, float], list[dict[int, Node]]] = {}
-        # Neighbour expiry keeps one queued check per (node, neighbour) pair.
-        # ``liveness[n][m]`` is (instant of the latest refresh, number taken by
-        # the first refresh at that instant) and exists exactly while the pair's
-        # check is queued: a silent neighbour expires at (instant + _expiry_hus,
-        # number), where the first check armed at that instant would act if
-        # every refresh armed its own.
+        # Neighbour expiry keeps at most one queued check per (node, neighbour)
+        # pair. ``liveness[n][m]`` is (instant of the latest refresh, number
+        # taken by the first refresh at that instant) and exists while the
+        # pair's check is queued, or while that check would come due after the
+        # horizon, where the queue drops it: a silent neighbour expires at
+        # (instant + _expiry_hus, number), where the first check armed at that
+        # instant would act if every refresh armed its own.
         self.liveness: dict[int, dict[int, tuple[int, int]]] = {n: {} for n in self._ids}
         self._start()
 
@@ -246,8 +255,7 @@ class Engine:
             self.queue.schedule(0, spec.time_hus, _ACTION, spec, 0, seq, sequence=seq)
 
     def _rearm(self, kind: EventKind, period: int, sequence: int, *args) -> None:
-        if self.now + period <= self.horizon:
-            self.queue.schedule(self.now, self.now + period, kind, *args, sequence=sequence)
+        self.queue.schedule(self.now, self.now + period, kind, *args, sequence=sequence)
 
     def run(self, until: int | None = None):
         """Advance the run to ``until`` (default: the horizon). Resumable."""
@@ -393,7 +401,7 @@ class Engine:
             self._enqueue_adv(n, m)
 
     def _refresh_neighbor(self, n: int, neighbor: int) -> None:
-        """Note ``neighbor`` as heard now; queue a check that expires it unless one is queued."""
+        """Note ``neighbor`` as heard now; arm a check that expires it unless the pair has one."""
         now = self.now
         self.runtimes[n].known.add(neighbor)
         pairs = self.liveness[n]
@@ -618,6 +626,7 @@ class Engine:
                 fragment_index=index,
                 fragment_count=len(transfer.fragments),
                 sealed_payload=piece,
+                payload_hex=piece.hex(),
                 slots=baseband.slots_for_payload(len(piece) * 8, self.bits_per_slot),
                 hop_trace=[transfer.src],
             )
@@ -716,7 +725,7 @@ class Engine:
                 "from": sender,
                 "msg_id": pkt.msg_id,
                 "fragment": pkt.fragment_index,
-                "payload": pkt.sealed_payload.hex(),
+                "payload": pkt.payload_hex,
                 "hop_trace": list(pkt.hop_trace),
             },
         )

@@ -79,7 +79,7 @@ def fragment_sealed(sealed: bytes, bits_per_slot: int = BITS_PER_SLOT) -> list[b
     return [sealed[i : i + step] for i in range(0, len(sealed), step)]
 
 
-@dataclass
+@dataclass(slots=True)
 class DataPacket:
     msg_id: int
     src: int
@@ -87,13 +87,15 @@ class DataPacket:
     fragment_index: int
     fragment_count: int
     sealed_payload: bytes
+    # The sealed payload as every hop traces it, encoded once per send.
+    payload_hex: str
     slots: int
     # Simulator-only observability: every node the packet has visited,
     # starting with the source.
     hop_trace: list[int]
 
 
-@dataclass
+@dataclass(slots=True)
 class Ack:
     """End-to-end acknowledgement, emitted by the destination after reassembly."""
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bluehop import routing
 from bluehop.cli import trace_line
-from bluehop.metrics import deliveries_from_trace, replay
+from bluehop.metrics import deliveries_from_trace, replay, summarize
 from bluehop.scenario import validate_scenario
 from bluehop.simkernel import Engine, run_scenario
 
@@ -196,3 +196,23 @@ def test_doubling_the_horizon_extends_the_trace(spec, seed):
     _, longer = run_scenario(validate_scenario(dict(spec, horizon=2 * spec["horizon"])), seed)
     assert json.dumps(longer[:len(trace)]) == json.dumps(trace)
     assert all(2 * record["t_us"] > config.horizon_hus for record in longer[len(trace):])
+
+
+# The detail fields the engine seed chooses: payload bytes, seals and hop channels.
+SEEDED = {"plaintext", "payload", "channel"}
+
+
+def _unseeded(trace):
+    return [dict(r, detail={k: v for k, v in r["detail"].items() if k not in SEEDED})
+            for r in trace]
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario_specs(), st.integers(1, 2**64 - 1))
+def test_the_engine_seed_chooses_only_payloads_seals_and_channels(spec, seed):
+    for mode in ("geometric", "scatternet"):
+        config = validate_scenario(dict(spec, link_mode=mode))
+        m, trace = run_scenario(config, 0)
+        other_m, other = run_scenario(config, seed)
+        assert _unseeded(other) == _unseeded(trace)
+        assert summarize(other_m) == summarize(m)

@@ -19,12 +19,15 @@ together over whole runs. The reference run
 - services a sender's radio on every enqueue and every arrival, busy or idle,
   full queue or empty, instead of only when it can send;
 - queues every repetition of every traffic flow at set-up, instead of one
-  event per flow that re-arms itself for the next repetition.
+  event per flow that re-arms itself for the next repetition;
+- queues every event, also one due after the horizon, instead of dropping
+  it at the push.
 """
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 from collections import Counter
 
 import pytest
@@ -32,7 +35,7 @@ from hypothesis import given, settings
 
 from bluehop import routing, scenario_path, transport
 from bluehop.scenario import TrafficSpec, parse_scenario, validate_scenario
-from bluehop.simkernel import NEIGHBOR_MISS_BUDGET, Engine, EventKind
+from bluehop.simkernel import NEIGHBOR_MISS_BUDGET, Engine, EventKind, EventQueue
 from bluehop.topology import NodeState
 
 from conftest import load_workloads
@@ -55,6 +58,7 @@ def all_reference():
     enqueue, try_service = Engine._enqueue_frame, Engine._try_service
     on_arrival = Engine._on_arrival
     start, on_action = Engine._start, Engine._on_scenario_action
+    queue_init = EventQueue.__init__
     last_heard = {}  # (engine, node, neighbour) -> instant of the latest refresh
 
     def make_from_table(table, to_neighbor):
@@ -130,6 +134,10 @@ def all_reference():
                     break
                 engine.queue.schedule(0, t, EventKind.SCENARIO_ACTION, spec)
 
+    def queue_without_horizon(queue, horizon):
+        used["queue"] += 1
+        queue_init(queue, math.inf)
+
     def act_once(engine, spec):
         if isinstance(spec, TrafficSpec):
             used["traffic"] += 1
@@ -150,6 +158,7 @@ def all_reference():
         mp.setattr(Engine, "_on_arrival", service_and_arrive)
         mp.setattr(Engine, "_start", start_queueing_every_repetition)
         mp.setattr(Engine, "_on_scenario_action", act_once)
+        mp.setattr(EventQueue, "__init__", queue_without_horizon)
         yield used
 
 
@@ -191,5 +200,5 @@ def test_every_switch_reaches_the_engine():
     with all_reference() as used:
         Engine(parse_scenario(scenario_path("diamond_failover.json")), 0).run()
     assert set(used) == {
-        "make", "process", "hops", "relink", "seal", "expiry", "radio", "traffic"
+        "make", "process", "hops", "relink", "seal", "expiry", "radio", "traffic", "queue"
     }

@@ -23,41 +23,57 @@ from bluehop.simkernel import (
 from bluehop.topology import Node, NodeState, Position
 
 from conftest import advert, geometric_scenario
-from test_fuzz import scenarios
+from test_fuzz import scenario_specs
 from test_reference_run import all_reference
 
 
 class TestEventQueue:
     def test_orders_by_time(self):
-        q = EventQueue()
+        q = EventQueue(horizon=100)
         q.schedule(0, 30, EventKind.MOTION_UPDATE, "b")
         q.schedule(0, 10, EventKind.MOTION_UPDATE, "a")
         assert q.pop().args == ("a",)
         assert q.pop().args == ("b",)
 
     def test_equal_times_pop_in_scheduling_order(self):
-        q = EventQueue()
+        q = EventQueue(horizon=100)
         for tag in ("first", "second", "third"):
             q.schedule(0, 5, EventKind.MOTION_UPDATE, tag)
         assert [q.pop().args[0] for _ in range(3)] == ["first", "second", "third"]
 
     def test_event_at_current_time_is_allowed(self):
-        q = EventQueue()
+        q = EventQueue(horizon=100)
         q.schedule(7, 7, EventKind.MOTION_UPDATE)
         assert q.pop().time == 7
 
     def test_past_event_raises_causality_error(self):
-        q = EventQueue()
+        q = EventQueue(horizon=100)
         with pytest.raises(CausalityError):
             q.schedule(10, 9, EventKind.MOTION_UPDATE)
 
     def test_past_event_under_a_reserved_number_raises_causality_error(self):
-        q = EventQueue()
+        q = EventQueue(horizon=100)
         with pytest.raises(CausalityError):
             q.schedule(10, 9, EventKind.MOTION_UPDATE, sequence=q.reserve())
 
+    def test_event_at_the_horizon_is_queued(self):
+        q = EventQueue(horizon=100)
+        q.schedule(0, 100, EventKind.MOTION_UPDATE)
+        assert q.pop().time == 100
+
+    def test_event_after_the_horizon_is_not_queued(self):
+        q = EventQueue(horizon=100)
+        q.schedule(0, 101, EventKind.MOTION_UPDATE)
+        q.schedule(0, 101, EventKind.MOTION_UPDATE, sequence=q.reserve())
+        assert len(q) == 0
+
+    def test_past_event_after_the_horizon_raises_causality_error(self):
+        q = EventQueue(horizon=100)
+        with pytest.raises(CausalityError):
+            q.schedule(200, 150, EventKind.MOTION_UPDATE)
+
     def test_reserved_number_runs_before_events_scheduled_after_it_was_taken(self):
-        q = EventQueue()
+        q = EventQueue(horizon=100)
         seq = q.reserve()
         q.schedule(0, 5, EventKind.MOTION_UPDATE, "scheduled")
         q.schedule(0, 5, EventKind.MOTION_UPDATE, "reserved", sequence=seq)
@@ -84,7 +100,9 @@ class TestKernelBasics:
         )
         engine = Engine(config, 0)
         engine.run(until=0)
-        engine.queue.schedule(0, engine.horizon * 5, EventKind.MOTION_UPDATE)
+        queued = len(engine.queue)
+        engine.queue.schedule(0, engine.horizon + 1, EventKind.MOTION_UPDATE)
+        assert len(engine.queue) == queued
         engine.run()
         assert all(r["kind"] != "motion" for r in engine.trace)
 
@@ -235,6 +253,18 @@ class TestExpiryChecks:
         checks = [e for e in engine.queue.heap if e.kind is EventKind.NEIGHBOR_EXPIRY]
         assert 0 < len(checks) <= 30
 
+    def test_no_check_is_queued_when_the_horizon_is_shorter_than_the_budget(self):
+        # With the default t_adv of 1 s every check comes due at 3 s, after a
+        # 2 s horizon, so none is queued; each pair keeps its record.
+        nodes = [{"id": i, "x": 8.0 * i, "y": 0.0, "class": 3} for i in range(3)]
+        config = validate_scenario({"horizon": 2.0, "nodes": nodes})
+        engine = Engine(config, 0)
+        engine.run(until=0)
+        assert all(e.kind is not EventKind.NEIGHBOR_EXPIRY for e in engine.queue.heap)
+        assert {n: set(pairs) for n, pairs in engine.liveness.items()} == {
+            0: {1}, 1: {0, 2}, 2: {1}
+        }
+
     def test_reboot_with_checks_pending_expires_a_silent_neighbor_once(self):
         # Node 0 power-cycles while its check on node 1 is queued; node 1 then
         # goes silent for good. The check that acts was re-armed after the
@@ -375,18 +405,25 @@ class TestExpiryChecks:
         assert reference == trace
 
     @settings(max_examples=20, deadline=None)
-    @given(scenarios())
-    def test_each_pair_has_a_record_while_its_one_check_is_queued(self, config):
+    @given(scenario_specs(), st.sampled_from([0.05, 0.2, 1.0]))
+    def test_each_pair_has_a_record_while_its_one_check_is_queued(self, spec, t_adv):
+        # A record without a queued check is one whose check would come due
+        # after the horizon; a t_adv of 1 s puts every check there.
+        config = validate_scenario(dict(spec, protocol={"t_adv": t_adv}))
         engine = Engine(config, 0)
+        budget = NEIGHBOR_MISS_BUDGET * engine.t_adv
         step = config.horizon_hus // 10 + 1
         for until in range(0, config.horizon_hus + step, step):
             engine.run(until=until)
             checks = Counter(e.args for e in engine.queue.heap if e.kind is EventKind.NEIGHBOR_EXPIRY)
-            recorded = {(n, m) for n, pairs in engine.liveness.items() for m in pairs}
-            assert checks == dict.fromkeys(recorded, 1)
+            heard = {(n, m): h for n, pairs in engine.liveness.items() for m, (h, _) in pairs.items()}
+            assert set(checks.values()) <= {1}
+            assert checks.keys() <= heard.keys()
+            for pair in heard.keys() - checks.keys():
+                assert heard[pair] + budget > config.horizon_hus
             for n, rt in engine.runtimes.items():
                 if engine.world[n].state is NodeState.ACTIVE:
-                    assert {(n, m) for m in rt.known} <= recorded
+                    assert {(n, m) for m in rt.known} <= heard.keys()
 
 
 class TestDeliveryPaths:
@@ -444,6 +481,14 @@ class TestDeliveryPaths:
         delivery = [r for r in trace if r["kind"] == "delivery"][0]
         assert send["detail"]["fragments"] == 3
         assert delivery["detail"]["plaintext"] == send["detail"]["plaintext"]
+        # Each fragment's payload is encoded once, and every hop traces that one string.
+        payloads = {}
+        for r in trace:
+            if r["kind"] == "data_rx":
+                payloads.setdefault(r["detail"]["fragment"], []).append(r["detail"]["payload"])
+        assert sorted(payloads) == [0, 1, 2]
+        for hops in payloads.values():
+            assert len(hops) == 2 and hops[0] is hops[1]
 
     def test_relay_never_sees_plaintext(self):
         config = parse_scenario(scenario_path("figure4.json"))

@@ -42,6 +42,7 @@ class Mutant:
 
 LINKS_PROPERTY = "tests/test_simkernel.py::test_links_match_the_link_rule_after_every_change"
 TIMERS = "tests/test_simkernel.py::TestPeriodicTimers"
+QUEUE = "tests/test_simkernel.py::TestEventQueue"
 GOLDEN_GALLERY = "tests/test_golden.py::test_gallery_artifacts_match_pinned_digests"
 FUZZ = "tests/test_fuzz.py::test_bounded_random_runs_keep_their_invariants"
 ROWS = "tests/test_metrics.py::TestDeliveriesRows"
@@ -111,8 +112,8 @@ MUTANTS = (
     # The periodic timers re-arm under the two numbers reserved at set-up.
     Mutant(
         "timers-rearm-through-schedule", "simkernel.py",
-        "            self.queue.schedule(self.now, self.now + period, kind, *args, sequence=sequence)\n",
-        "            self.queue.schedule(self.now, self.now + period, kind, *args)\n",
+        "        self.queue.schedule(self.now, self.now + period, kind, *args, sequence=sequence)\n",
+        "        self.queue.schedule(self.now, self.now + period, kind, *args)\n",
         (TIMERS,),
     ),
     Mutant(
@@ -129,11 +130,18 @@ MUTANTS = (
         "self._round_seq, self._motion_seq = self.queue.reserve(), self.queue.reserve()",
         (TIMERS,),
     ),
+    # The queue holds every event that can still run, and only those.
     Mutant(
         "timers-stop-before-the-horizon", "simkernel.py",
-        "        if self.now + period <= self.horizon:\n",
-        "        if self.now + period < self.horizon:\n",
-        ("tests/test_simkernel.py::TestKernelBasics",),
+        "        if time > self.horizon:\n",
+        "        if time >= self.horizon:\n",
+        (QUEUE,),
+    ),
+    Mutant(
+        "queue-keeps-events-past-horizon", "simkernel.py",
+        "        if time > self.horizon:\n            return\n",
+        "",
+        (QUEUE, f"{EXPIRY}::test_no_check_is_queued_when_the_horizon_is_shorter_than_the_budget"),
     ),
     # Each message's delivery row follows its trace records.
     Mutant(
