@@ -17,12 +17,18 @@ from .metrics import summarize
 from .scenario import HUS_PER_SECOND, ScenarioError, parse_scenario, sec_to_hus
 from .simkernel import Engine
 
+# ``trace.ndjson.part`` is written through a buffer this large: at the default
+# 8 KiB a bulk run's trace of several MB costs hundreds of writes, and a larger
+# buffer saves no more.
+TRACE_BUFFER_BYTES = 256 * 1024
+
 CSV_HEADER = ["msg_id", "src", "dst", "bytes", "outcome", "hops", "latency_us", "retries"]
 
 # Trace lines are byte-for-byte ``json.dumps(record, separators=(",", ":"))``.
 # The common kinds are written from their fields with an f-string: keys in
 # emission order, ``t_us`` and ``latency_us`` (int or half-us float) via repr,
-# hex and vocabulary strings unescaped because they never need escaping.
+# hex and vocabulary strings unescaped because they never need escaping, and
+# int lists via ``str`` without its spaces.
 # A new or changed detail layout must update this table; any other kind goes
 # through the shared encoder.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -42,7 +48,7 @@ TRACE_DETAIL = {
     ),
     "data_rx": lambda d: (
         f'{{"from":{d["from"]},"msg_id":{d["msg_id"]},"fragment":{d["fragment"]},'
-        f'"payload":"{d["payload"]}","hop_trace":[{",".join(map(str, d["hop_trace"]))}]}}'
+        f'"payload":"{d["payload"]}","hop_trace":{str(d["hop_trace"]).replace(" ", "")}}}'
     ),
     "ack_tx": lambda d: f'{{"to":{d["to"]},"msg_id":{d["msg_id"]}{_optional(d, "channel")}}}',
     "ack_rx": lambda d: f'{{"msg_id":{d["msg_id"]},"from":{d["from"]}}}',
@@ -95,7 +101,7 @@ def _run_seed(config, seed: int, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     partial = out_dir / "trace.ndjson.part"
     try:
-        with open(partial, "w", encoding="utf-8") as fh:
+        with open(partial, "w", encoding="utf-8", buffering=TRACE_BUFFER_BYTES) as fh:
             engine = Engine(config, seed, _TraceWriter(fh))
             engine.run()
         _write_outputs(out_dir, engine)
@@ -190,8 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

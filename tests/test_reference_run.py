@@ -7,10 +7,14 @@ together over whole runs. The reference run
 - forgets what it last relaxed from each sender, so every advertisement takes
   the full relaxation pass (no repeat shortcut, no delta path);
 - recomputes every table's equal-cost next hops on every call (no cache);
+- sends every forward through the (queued frames, neighbour) candidates and
+  ``routing.select_next_hop``, also when only one next hop is left;
 - relinks every node whenever any node moves or changes state, instead of
   only the changed ones (each still against its block of grid cells:
   ``test_links_match_the_link_rule_after_every_change`` in
-  ``test_simkernel.py`` checks the grid against every pair);
+  ``test_simkernel.py`` checks the grid against every pair), and forgets
+  every master's hop sequence first, so each scatternet formation derives
+  every piconet's sequence afresh;
 - recomputes every seal keystream (no memo);
 - arms one neighbour expiry check per refresh, each acting only if nothing
   was heard since, instead of one live check per pair that re-arms itself;
@@ -78,7 +82,20 @@ def all_reference():
 
     def relink_everyone(engine, changed):
         used["relink"] += 1
+        if engine._hop_seqs:
+            used["hop_seqs"] += 1
+            engine._hop_seqs.clear()
         relink(engine, engine._ids)
+
+    def forward_by_candidates(engine, n, body):
+        hops = routing.next_hops(engine.runtimes[n].table, body.dst, engine.links[n])
+        if len(hops) == 1:
+            used["forward"] += 1
+        chosen = routing.select_next_hop(engine._route_candidates(n, hops))
+        if chosen is None:
+            engine._drop(n, body, "forward-failure")
+        else:
+            engine._enqueue_frame(n, chosen, body)
 
     def seal_key_unmemoised(*args):
         used["seal"] += 1
@@ -150,6 +167,7 @@ def all_reference():
         mp.setattr(routing, "process_advertisement", process_full_pass)
         mp.setattr(routing, "next_hops", next_hops_uncached)
         mp.setattr(Engine, "_relink", relink_everyone)
+        mp.setattr(Engine, "_forward", forward_by_candidates)
         mp.setattr(transport, "_seal_key", seal_key_unmemoised)
         mp.setattr(Engine, "_refresh_neighbor", refresh_arming_a_check)
         mp.setattr(Engine, "_on_neighbor_expiry", expire_if_unheard_since)
@@ -197,8 +215,11 @@ def test_fuzzed_runs(config):
 
 
 def test_every_switch_reaches_the_engine():
+    # churn25 runs in scatternet mode and re-forms, so it re-derives hop sequences.
     with all_reference() as used:
-        Engine(parse_scenario(scenario_path("diamond_failover.json")), 0).run()
+        for name in ("diamond_failover", "churn25"):
+            Engine(parse_scenario(scenario_path(f"{name}.json")), 0).run()
     assert set(used) == {
-        "make", "process", "hops", "relink", "seal", "expiry", "radio", "traffic", "queue"
+        "make", "process", "hops", "relink", "hop_seqs", "forward", "seal", "expiry", "radio",
+        "traffic", "queue",
     }

@@ -521,6 +521,22 @@ class TestDeliveryPaths:
                 first_tx.setdefault(r["detail"]["msg_id"], r["detail"]["to"])
         assert first_tx == {0: 1, 1: 2}
 
+    def test_relay_prefers_the_shorter_queue(self):
+        # A line 0 - 1 into a diamond 1 -> {2, 3} -> 4, its routes converged
+        # by t = 1 s. At one instant relay 1 queues a 3-fragment message to 2
+        # and 0 sends a 1-fragment message to 4, whose only next hop is 1. The
+        # fragment reaches 1 while two frames wait for 2, so it goes via 3.
+        nodes = {0: (0.0, 0.0), 1: (8.0, 0.0), 2: (14.0, 6.0), 3: (14.0, -6.0), 4: (20.0, 0.0)}
+        config = geometric_scenario(
+            nodes, horizon=1.5,
+            traffic=[{"time": 1.05, "src": 1, "dst": 2, "payload_bytes": 875},
+                     {"time": 1.05, "src": 0, "dst": 4, "payload_bytes": 20}],
+        )
+        _, trace = run_scenario(config, 0)
+        relayed = [r["detail"]["to"] for r in trace
+                   if r["kind"] == "data_tx" and r["node"] == 1 and r["detail"]["msg_id"] == 1]
+        assert relayed == [3]
+
     def test_rejected_when_source_not_active(self):
         config = validate_scenario(
             {

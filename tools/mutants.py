@@ -248,6 +248,15 @@ MUTANTS = (
         ("tests/test_simkernel.py::TestDeliveryPaths::test_first_hop_prefers_the_shorter_queue",
          "tests/test_golden.py::test_benchmark_pool_artifacts_match_pinned_digests"),
     ),
+    # A relay left with one next hop queues to it directly; only a tie reads
+    # the queue depths.
+    Mutant(
+        "forward-shortcut-ignores-queue-depth", "simkernel.py",
+        "        if len(hops) == 1:  # no tie to break\n",
+        "        if hops:  # no tie to break\n",
+        ("tests/test_simkernel.py::TestDeliveryPaths::test_relay_prefers_the_shorter_queue",
+         "tests/test_golden.py::test_benchmark_pool_artifacts_match_pinned_digests"),
+    ),
     Mutant(
         "next-hop-key-swapped", "routing.py",
         "    best = min(candidates, default=None)\n",
@@ -287,6 +296,19 @@ MUTANTS = (
         "    table.hops.clear()\n    if offered is None:\n",
         "    if offered is None:\n",
         (COUNTS,),
+    ),
+    # A piconet's hop sequence is its master's, derived once per run; after a
+    # re-form the same piconet id may belong to another master.
+    Mutant(
+        "hop-sequences-cached-by-piconet-id", "simkernel.py",
+        "                seq = self._hop_seqs.get(p.master)\n"
+        "                if seq is None:  # a piconet's sequence depends on its master alone\n"
+        "                    seq = self._hop_seqs[p.master] = baseband.HopSequence(\n",
+        "                seq = self._hop_seqs.get(len(self._hops))\n"
+        "                if seq is None:  # a piconet's sequence depends on its master alone\n"
+        "                    seq = self._hop_seqs[len(self._hops)] = baseband.HopSequence(\n",
+        ("tests/test_reference_run.py::test_benchmark_pool",
+         "tests/test_golden.py::test_benchmark_pool_artifacts_match_pinned_digests"),
     ),
     # The engine numbers its records from 0, whatever sink it appends them to.
     Mutant(
