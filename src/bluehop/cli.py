@@ -196,14 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None  # built by the first main call
-
-
 def main(argv: list[str] | None = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

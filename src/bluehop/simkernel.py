@@ -183,10 +183,8 @@ class Engine:
         self.net: Scatternet | None = None
         self.runtimes: dict[int, NodeRuntime] = {}
         self.radios: dict[int, Radio] = {}
-        # Each piconet's hop sequence, by piconet id, rebuilt at each formation
-        # from ``_hop_seqs``, which derives each master's sequence once per run.
+        # Each piconet's hop sequence, by piconet id, rebuilt at each formation.
         self._hops: list[baseband.HopSequence] = []
-        self._hop_seqs: dict[int, baseband.HopSequence] = {}
         self._msg_counter = 0
         # Every message's sender-side state, kept engine-wide so a reboot or a
         # late packet can never lose or double-count an outcome.
@@ -364,13 +362,10 @@ class Engine:
                 n: near for n, near in near_of.items() if world[n].state is _ACTIVE
             }
             self.net = scatternet.form_scatternet(active)
-            self._hops = []
-            for p in self.net.piconets:
-                seq = self._hop_seqs.get(p.master)
-                if seq is None:  # a piconet's sequence depends on its master alone
-                    seq = self._hop_seqs[p.master] = baseband.HopSequence(
-                        seed=derive_seed(self.seed, f"hop:{p.master}"))
-                self._hops.append(seq)
+            self._hops = [
+                baseband.HopSequence(seed=derive_seed(self.seed, f"hop:{p.master}"))
+                for p in self.net.piconets
+            ]
             self._emit("scatternet", None, scatternet.scatternet_to_json(self.net))
             touched = self._ids  # a re-form may move any grant
         granted = self.net.links if self.mode is _SCATTERNET else None
@@ -434,6 +429,10 @@ class Engine:
             radio.advs.add(to)
         if radio.busy_until <= self.now:
             self._try_service(n, radio)
+
+    def _next_hops(self, n: int, dest: int) -> list[int]:
+        """``n``'s minimal-cost next hops toward ``dest`` over its current links."""
+        return routing.next_hops(self.runtimes[n].table, dest, self.links[n])
 
     def _route_candidates(self, n: int, hops: list[int]) -> list[tuple[int, int]]:
         """(frames queued to it, neighbour) for each of ``n``'s next hops ``hops``."""
@@ -616,9 +615,10 @@ class Engine:
 
         Returns False when the source knows no route at all.
         """
-        src = transfer.src
-        hops = routing.next_hops(self.runtimes[src].table, transfer.dst, self.links[src])
-        first = transport.choose_first_hop(self._route_candidates(src, hops), transfer.routes_tried)
+        hops = self._next_hops(transfer.src, transfer.dst)
+        first = transport.choose_first_hop(
+            self._route_candidates(transfer.src, hops), transfer.routes_tried
+        )
         if first is None:
             return False
         transfer.routes_tried.add(first)
@@ -753,7 +753,7 @@ class Engine:
 
     def _forward(self, n: int, body: transport.DataPacket | transport.Ack) -> None:
         """Queue a data fragment or ack toward its destination, or drop it."""
-        hops = routing.next_hops(self.runtimes[n].table, body.dst, self.links[n])
+        hops = self._next_hops(n, body.dst)
         if len(hops) == 1:  # no tie to break
             self._enqueue_frame(n, hops[0], body)
             return

@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import tempfile
 import tracemalloc
@@ -13,7 +12,6 @@ from bluehop.cli import TRACE_DETAIL, _seed_range, main, trace_line
 from bluehop.scenario import validate_scenario
 from bluehop.simkernel import Engine
 from test_fuzz import scenario_specs
-from test_golden import ARTIFACTS, GOLDEN
 
 
 class TestRun:
@@ -129,23 +127,6 @@ class TestTablesAndTopo:
         assert "scatternet" in topo
         for pico in topo["scatternet"]["piconets"]:
             assert len(pico["active_slaves"]) <= 7
-
-
-class TestParserReuse:
-    def test_consecutive_calls_parse_afresh_with_one_parser(self, tmp_path, capsys):
-        line5 = scenario_path("line5.json")
-        assert main(["run", line5, "--seed", "3", "--out", str(tmp_path / "seed3")]) == 0
-        parser = cli._parser
-        # No --seed: the last call's seed must not carry over.
-        out = tmp_path / "seed0"
-        assert main(["run", line5, "--out", str(out)]) == 0
-        assert cli._parser is parser
-        digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ARTIFACTS)
-        assert digests == GOLDEN["line5", 0]
-        assert main(["tables", line5, "--at", "1"]) == 0
-        assert cli._parser is parser
-        dump = json.loads(capsys.readouterr().out)
-        assert [table["node"] for table in dump] == [0, 1, 2, 3, 4]
 
 
 class TestExitCodes:

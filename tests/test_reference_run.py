@@ -12,9 +12,7 @@ together over whole runs. The reference run
 - relinks every node whenever any node moves or changes state, instead of
   only the changed ones (each still against its block of grid cells:
   ``test_links_match_the_link_rule_after_every_change`` in
-  ``test_simkernel.py`` checks the grid against every pair), and forgets
-  every master's hop sequence first, so each scatternet formation derives
-  every piconet's sequence afresh;
+  ``test_simkernel.py`` checks the grid against every pair);
 - recomputes every seal keystream (no memo);
 - arms one neighbour expiry check per refresh, each acting only if nothing
   was heard since, instead of one live check per pair that re-arms itself;
@@ -82,13 +80,10 @@ def all_reference():
 
     def relink_everyone(engine, changed):
         used["relink"] += 1
-        if engine._hop_seqs:
-            used["hop_seqs"] += 1
-            engine._hop_seqs.clear()
         relink(engine, engine._ids)
 
     def forward_by_candidates(engine, n, body):
-        hops = routing.next_hops(engine.runtimes[n].table, body.dst, engine.links[n])
+        hops = engine._next_hops(n, body.dst)
         if len(hops) == 1:
             used["forward"] += 1
         chosen = routing.select_next_hop(engine._route_candidates(n, hops))
@@ -215,11 +210,9 @@ def test_fuzzed_runs(config):
 
 
 def test_every_switch_reaches_the_engine():
-    # churn25 runs in scatternet mode and re-forms, so it re-derives hop sequences.
     with all_reference() as used:
-        for name in ("diamond_failover", "churn25"):
-            Engine(parse_scenario(scenario_path(f"{name}.json")), 0).run()
+        Engine(parse_scenario(scenario_path("diamond_failover.json")), 0).run()
     assert set(used) == {
-        "make", "process", "hops", "relink", "hop_seqs", "forward", "seal", "expiry", "radio",
-        "traffic", "queue",
+        "make", "process", "hops", "relink", "forward", "seal", "expiry", "radio", "traffic",
+        "queue",
     }

@@ -297,19 +297,6 @@ MUTANTS = (
         "    if offered is None:\n",
         (COUNTS,),
     ),
-    # A piconet's hop sequence is its master's, derived once per run; after a
-    # re-form the same piconet id may belong to another master.
-    Mutant(
-        "hop-sequences-cached-by-piconet-id", "simkernel.py",
-        "                seq = self._hop_seqs.get(p.master)\n"
-        "                if seq is None:  # a piconet's sequence depends on its master alone\n"
-        "                    seq = self._hop_seqs[p.master] = baseband.HopSequence(\n",
-        "                seq = self._hop_seqs.get(len(self._hops))\n"
-        "                if seq is None:  # a piconet's sequence depends on its master alone\n"
-        "                    seq = self._hop_seqs[len(self._hops)] = baseband.HopSequence(\n",
-        ("tests/test_reference_run.py::test_benchmark_pool",
-         "tests/test_golden.py::test_benchmark_pool_artifacts_match_pinned_digests"),
-    ),
     # The engine numbers its records from 0, whatever sink it appends them to.
     Mutant(
         "record-numbers-start-at-one", "simkernel.py",
