@@ -9,7 +9,6 @@ import csv
 import json
 import math
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -94,22 +93,6 @@ class _TraceWriter:
         self._write(trace_line(record))
 
 
-def _run_seed(config, seed: int, out_dir: Path) -> None:
-    """One run into ``out_dir``. The trace streams to a temporary name that
-    becomes ``trace.ndjson`` only once the run and the other artifacts are
-    written, so a run that fails leaves no partial trace behind."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    partial = out_dir / "trace.ndjson.part"
-    try:
-        with open(partial, "w", encoding="utf-8", buffering=TRACE_BUFFER_BYTES) as fh:
-            engine = Engine(config, seed, _TraceWriter(fh))
-            engine.run()
-        _write_outputs(out_dir, engine)
-        os.replace(partial, out_dir / "trace.ndjson")
-    finally:
-        partial.unlink(missing_ok=True)
-
-
 def _write_outputs(out_dir: Path, engine: Engine) -> None:
     """``report.json`` and ``deliveries.csv``, both from the run's online metrics."""
     report = summarize(engine.metrics)
@@ -122,14 +105,6 @@ def _write_outputs(out_dir: Path, engine: Engine) -> None:
         writer.writerows(engine.metrics.rows.values())
 
 
-def _seed_range(text: str) -> range:
-    """Argument type of ``--seeds``: an inclusive integer range A..B with A <= B."""
-    match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
-    if match is None or int(match[1]) > int(match[2]):
-        raise argparse.ArgumentTypeError(f"expected integers A..B with A <= B, got {text!r}")
-    return range(int(match[1]), int(match[2]) + 1)
-
-
 def _sim_seconds(text: str) -> float:
     """Argument type of ``--at``: simulated seconds >= 0 whose half-microsecond count is finite."""
     value = float(text)  # argparse reports a ValueError as an invalid value
@@ -140,28 +115,30 @@ def _sim_seconds(text: str) -> float:
 
 
 def _cmd_run(args) -> int:
+    """One run into ``--out``. The trace streams to a temporary name that
+    becomes ``trace.ndjson`` only once the run and the other artifacts are
+    written, so a run that fails leaves no partial trace behind."""
     config = parse_scenario(args.scenario)
-    seeds = args.seeds or [args.seed or 0]
-    base = Path(args.out)
-    sweep = seeds[0] != seeds[-1]  # len() of a range fails beyond sys.maxsize
-    for seed in seeds:
-        _run_seed(config, seed, base / f"seed-{seed}" if sweep else base)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    partial = out_dir / "trace.ndjson.part"
+    try:
+        with open(partial, "w", encoding="utf-8", buffering=TRACE_BUFFER_BYTES) as fh:
+            engine = Engine(config, args.seed, _TraceWriter(fh))
+            engine.run()
+        _write_outputs(out_dir, engine)
+        os.replace(partial, out_dir / "trace.ndjson")
+    finally:
+        partial.unlink(missing_ok=True)
     return 0
 
 
-def _cmd_tables(args) -> int:
-    config = parse_scenario(args.scenario)
-    engine = Engine(config, args.seed)
+def _cmd_dump(args) -> int:
+    """Print a state dump at ``--at``. The seed chooses only payloads, seals
+    and hop channels, none of which a dump shows, so the engine runs at 0."""
+    engine = Engine(parse_scenario(args.scenario), 0)
     engine.run(until=sec_to_hus(args.at))
-    print(json.dumps(engine.routing_tables_json(), indent=2))
-    return 0
-
-
-def _cmd_topo(args) -> int:
-    config = parse_scenario(args.scenario)
-    engine = Engine(config, args.seed)
-    engine.run(until=0)
-    print(json.dumps(engine.topo_json(), indent=2))
+    print(json.dumps(args.dump(engine), indent=2))
     return 0
 
 
@@ -174,24 +151,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario and write report, trace, deliveries")
     p_run.add_argument("scenario", help="scenario JSON file")
-    seeding = p_run.add_mutually_exclusive_group()
-    # No default here: argparse lets an explicit value equal to the default
-    # through a mutually exclusive group, so ``--seed 0 --seeds ...`` would pass.
-    seeding.add_argument("--seed", type=int, help="engine seed (default 0)")
-    seeding.add_argument("--seeds", type=_seed_range, help="inclusive seed range A..B for a sweep")
+    p_run.add_argument("--seed", type=int, default=0, help="engine seed (default 0)")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=_cmd_run)
 
     p_tables = sub.add_parser("tables", help="dump every routing table at a simulated time")
     p_tables.add_argument("scenario")
-    p_tables.add_argument("--seed", type=int, default=0)
     p_tables.add_argument("--at", type=_sim_seconds, required=True, help="simulated seconds")
-    p_tables.set_defaults(func=_cmd_tables)
+    p_tables.set_defaults(func=_cmd_dump, dump=Engine.routing_tables_json)
 
     p_topo = sub.add_parser("topo", help="dump the adjacency (and scatternet) at t=0")
     p_topo.add_argument("scenario")
-    p_topo.add_argument("--seed", type=int, default=0)
-    p_topo.set_defaults(func=_cmd_topo)
+    p_topo.set_defaults(func=_cmd_dump, dump=Engine.topo_json, at=0.0)
 
     return parser
 

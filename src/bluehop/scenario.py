@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import routing
 from .scatternet import LinkMode
@@ -68,8 +68,8 @@ class NodeSpec:
     x: float
     y: float
     range_m: float
-    state: NodeState = NodeState.ACTIVE
-    waypoints: tuple[tuple[int, float, float], ...] = ()
+    state: NodeState
+    waypoints: tuple[tuple[int, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ class TrafficSpec:
     src: int
     dst: int
     payload_bytes: int
-    count: int = 1
-    interval_hus: int = 0
+    count: int
+    interval_hus: int
 
 
 @dataclass(frozen=True)
@@ -87,26 +87,26 @@ class ActionSpec:
     time_hus: int
     node: int
     action: str  # "set_state" or "withdraw"
-    state: NodeState | None = None
+    state: NodeState | None
 
 
 @dataclass
 class ProtocolParams:
-    t_adv_hus: int = sec_to_hus(DEFAULT_T_ADV_S)
-    t_ack_hus: int = sec_to_hus(DEFAULT_T_ACK_S)
-    retries: int = DEFAULT_RETRIES
-    inf: int = routing.INF
+    t_adv_hus: int
+    t_ack_hus: int
+    retries: int
+    inf: int
 
 
 @dataclass
 class ScenarioConfig:
     nodes: list[NodeSpec]
     horizon_hus: int
-    link_mode: LinkMode = LinkMode.GEOMETRIC
-    protocol: ProtocolParams = field(default_factory=ProtocolParams)
-    traffic: list[TrafficSpec] = field(default_factory=list)
-    actions: list[ActionSpec] = field(default_factory=list)
-    rate_multiplier: int = 1
+    link_mode: LinkMode
+    protocol: ProtocolParams
+    traffic: list[TrafficSpec]
+    actions: list[ActionSpec]
+    rate_multiplier: int
 
 
 def _is_num(v) -> bool:
@@ -172,7 +172,7 @@ def validate_scenario(data) -> ScenarioConfig:
         err("rate_multiplier", "expected a positive integer")
         rate_multiplier = 1
 
-    protocol = ProtocolParams()
+    protocol = None  # built once every knob is valid
     proto_raw = data.get("protocol", {})
     if not isinstance(proto_raw, dict):
         err("protocol", "expected an object")

@@ -395,7 +395,7 @@ class Engine:
     def _init_node_routing(self, n: int) -> None:
         neighbors = self.links[n]
         self.runtimes[n] = NodeRuntime(table=routing.init_routing(n, neighbors, self.inf))
-        self.radios[n] = Radio()  # known fault: drops queued frames, forgets the airtime
+        self.radios.setdefault(n, Radio())
         for m in neighbors:
             self._refresh_neighbor(n, m)
             self._enqueue_adv(n, m)

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bluehop import cli, scenario_path
-from bluehop.cli import TRACE_DETAIL, _seed_range, main, trace_line
+from bluehop import scenario_path
+from bluehop.cli import TRACE_DETAIL, main, trace_line
 from bluehop.scenario import validate_scenario
 from bluehop.simkernel import Engine
 from test_fuzz import scenario_specs
@@ -44,46 +44,18 @@ class TestRun:
         assert (a / "trace.ndjson").read_bytes() == (b / "trace.ndjson").read_bytes()
         assert (a / "deliveries.csv").read_bytes() == (b / "deliveries.csv").read_bytes()
 
-    def test_seed_sweep_writes_one_directory_per_seed(self, tmp_path):
-        out = tmp_path / "sweep"
-        assert main(["run", scenario_path("figure4.json"), "--seeds", "0..2", "--out", str(out)]) == 0
-        for seed in range(3):
-            assert (out / f"seed-{seed}" / "report.json").exists()
-
-    def test_seed_range_is_not_built_before_the_sweep(self):
-        # A sweep this long is never run; its seeds are not even listed.
-        seeds = _seed_range("0..99999999999")
-        assert (len(seeds), seeds[0], seeds[-1]) == (100_000_000_000, 0, 99_999_999_999)
-
-    def test_sweep_wider_than_maxsize_gets_one_directory_per_seed(self, tmp_path, monkeypatch):
-        dirs = []
-
-        def first_seed_only(config, seed, out_dir):
-            dirs.append(out_dir)
-            raise RuntimeError("stopped after the first seed")
-
-        monkeypatch.setattr(cli, "_run_seed", first_seed_only)
-        out = tmp_path / "sweep"
-        seeds = "0..100000000000000000000"
-        assert main(["run", scenario_path("line5.json"), "--seeds", seeds, "--out", str(out)]) == 2
-        assert dirs == [out / "seed-0"]
-
 
 class TestStreamedTrace:
     @settings(max_examples=15, deadline=None)
     @given(scenario_specs(), st.integers(0, 3))
     def test_streamed_trace_equals_the_in_memory_trace(self, spec, first):
-        # Every kind the fuzz draws, the shared encoder's included, and a sweep.
+        # Every kind the fuzz draws, the shared encoder's included.
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
             path.write_text(json.dumps(spec))
-            assert main(["run", str(path), "--seeds", f"{first}..{first + 1}",
-                         "--out", str(out)]) == 0
-            config = validate_scenario(spec)
-            for seed in (first, first + 1):
-                _, trace = Engine(config, seed).run()
-                streamed = (out / f"seed-{seed}" / "trace.ndjson").read_text()
-                assert streamed == "".join(map(trace_line, trace))
+            assert main(["run", str(path), "--seed", str(first), "--out", str(out)]) == 0
+            _, trace = Engine(validate_scenario(spec), first).run()
+            assert (out / "trace.ndjson").read_text() == "".join(map(trace_line, trace))
 
     def test_memory_stays_flat_with_the_horizon(self, tmp_path):
         # A run holds no trace, so 4x the records (4,248 -> 16,848) must not
@@ -179,25 +151,22 @@ class TestExitCodes:
         assert len(rounds) == 2
         assert list(out.glob("*")) == []  # no trace, partial or whole, and no other artifact
 
-    @pytest.mark.parametrize("seeds", ["3..1", "3", "a..b", "1..x"])
-    def test_bad_seed_range_is_usage_error(self, seeds, tmp_path, capsys):
-        out = tmp_path / "o"
+    @pytest.mark.parametrize("argv", [
+        ["run", "figure4.json", "--seeds", "0..1", "--out", "o"],
+        ["tables", "line5.json", "--at", "1.0", "--seed", "3"],
+        ["topo", "churn25.json", "--seed", "3"],
+    ], ids=["run-seeds", "tables-seed", "topo-seed"])
+    def test_an_option_that_changes_no_output_is_unknown(self, argv, tmp_path, monkeypatch, capsys):
+        # The seed chooses only payloads, seals and hop channels: a sweep
+        # repeats one network, and the dumps show none of them.
+        monkeypatch.chdir(tmp_path)
+        command, name, *rest = argv
         with pytest.raises(SystemExit) as exc:
-            main(["run", scenario_path("figure4.json"), "--seeds", seeds, "--out", str(out)])
+            main([command, scenario_path(name), *rest])
         assert exc.value.code == 2
-        assert "--seeds" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("seed", ["5", "0"])
-    def test_seed_with_seeds_is_usage_error(self, seed, tmp_path, capsys):
-        # "0" is --seed's default value: the conflict must still be caught.
-        out = tmp_path / "o"
-        with pytest.raises(SystemExit) as exc:
-            main(["run", scenario_path("figure4.json"), "--seed", seed, "--seeds", "0..2",
-                  "--out", str(out)])
-        assert exc.value.code == 2
-        assert "not allowed with" in capsys.readouterr().err
-        assert not out.exists()
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("at", ["nan", "inf", "-1", "x", "1e303"])
     def test_bad_time_is_usage_error(self, at, capsys):

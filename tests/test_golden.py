@@ -1,4 +1,4 @@
-"""Golden digests: every gallery run's artifacts, byte for byte.
+"""Golden digests: every gallery run's artifacts and three dumps, byte for byte.
 
 The benchmark pools are pinned too: their runs exercise discovery storms
 and scatternet churn, which the gallery files barely touch.
@@ -80,6 +80,24 @@ def test_gallery_artifacts_match_pinned_digests(name, seed, tmp_path):
     assert main(argv) == 0
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ARTIFACTS)
     assert digests == GOLDEN[(name, seed)]
+
+
+# dump argv after the scenario -> sha256 of the command's stdout.
+DUMP_GOLDEN = {
+    ("tables", "line5", "--at", "1.0"):
+        "02d2e45064ccbe428812ccf268b6f4fe4d74b2efce0640b6002829d6ad3aceb3",
+    ("topo", "churn25"):
+        "935b86d0e51a58369ceec50a823466f5e749d6b005f4d294a7c49b171dc06250",
+    ("tables", "churn25", "--at", "2.5"):
+        "b997de8c84cd4d4b0b887f6eca78ebd2356c3de8fc87187e91821eeea1fa8449",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DUMP_GOLDEN))
+def test_dumps_match_pinned_digests(argv, capsys):
+    command, name, *rest = argv
+    assert main([command, scenario_path(f"{name}.json"), *rest]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DUMP_GOLDEN[argv]
 
 
 def _load_workloads():

@@ -48,6 +48,8 @@ FUZZ = "tests/test_fuzz.py::test_bounded_random_runs_keep_their_invariants"
 ROWS = "tests/test_metrics.py::TestDeliveriesRows"
 EXPIRY = "tests/test_simkernel.py::TestExpiryChecks"
 COUNTS = "tests/test_fuzz.py::test_queue_counts_and_cached_next_hops_match_a_recomputation"
+WORK_NODES = ("tests/test_simkernel.py::TestWorkGrowsWithContent::"
+              "test_lines_per_record_stay_flat[nodes]")
 VANISHED = ("tests/test_routing.py::TestProcessAdvertisement::"
             "test_missing_destination_via_advertiser_is_poisoned")
 
@@ -88,7 +90,30 @@ MUTANTS = (
     Mutant(
         "relink-ignores-grid", "simkernel.py",
         "            for cell in blocks[cell_of[a]]:\n", "            for cell in (world,):\n",
-        ("tests/test_simkernel.py::TestWorkGrowsWithContent::test_calls_per_record_stay_flat[nodes]",),
+        (WORK_NODES,),
+    ),
+    # The same all-pairs relink with the pair test written inline makes no
+    # calls; the guard counts the lines it runs.
+    Mutant(
+        "relink-inline-all-pairs", "simkernel.py",
+        "        in_range, done = topology.in_range, set()\n"
+        "        for a in changed:\n"
+        "            node, near = world[a], near_of[a]\n"
+        "            done.add(a)\n"
+        "            for cell in blocks[cell_of[a]]:\n"
+        "                for b, other in cell.items():\n"
+        "                    if b not in done and in_range(node, other) is not (b in near):\n",
+        "        dist, done = topology.math.dist, set()\n"
+        "        for a in changed:\n"
+        "            node, near = world[a], near_of[a]\n"
+        "            done.add(a)\n"
+        "            for b, other in world.items():\n"
+        "                if b not in done:\n"
+        "                    d = dist(node.position, other.position)\n"
+        "                    linked = (node.state is _ACTIVE and other.state is _ACTIVE\n"
+        "                              and d <= node.range_m and d <= other.range_m)\n"
+        "                    if linked is not (b in near):\n",
+        (WORK_NODES,),
     ),
     # A node moved to a nan cell (its position overflowed) leaves every neighbour.
     Mutant(
@@ -222,8 +247,8 @@ MUTANTS = (
     ),
     Mutant(
         "liveness-reset-at-power-on", "simkernel.py",
-        "        self.radios[n] = Radio()",
-        "        self.liveness[n] = {}\n        self.radios[n] = Radio()",
+        "        self.radios.setdefault(n, Radio())",
+        "        self.liveness[n] = {}\n        self.radios.setdefault(n, Radio())",
         (f"{EXPIRY}::test_each_pair_has_a_record_while_its_one_check_is_queued",
          f"{EXPIRY}::test_reboot_at_the_instant_of_a_refresh_keeps_the_expiry_order"),
     ),
