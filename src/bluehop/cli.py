@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .metrics import summarize
-from .scenario import HUS_PER_SECOND, ScenarioError, parse_scenario, sec_to_hus
+from .scenario import HUS_PER_SECOND, NODE_ID_MAX, ScenarioError, parse_scenario, sec_to_hus
 from .simkernel import Engine
 
 # ``trace.ndjson.part`` is written through a buffer this large: at the default
@@ -24,62 +24,142 @@ TRACE_BUFFER_BYTES = 256 * 1024
 CSV_HEADER = ["msg_id", "src", "dst", "bytes", "outcome", "hops", "latency_us", "retries"]
 
 # Trace lines are byte-for-byte ``json.dumps(record, separators=(",", ":"))``.
-# The common kinds are written from their fields with an f-string: keys in
-# emission order, ``t_us`` and ``latency_us`` (int or half-us float) via repr,
-# hex and vocabulary strings unescaped because they never need escaping, and
-# int lists via ``str`` without its spaces.
+# Each common kind has one function that writes its whole line from the
+# record's fields with an f-string: keys in emission order, ``t_us`` and
+# ``latency_us`` (int or half-us float) via repr, node ids and hop lists
+# through ``_id_text``, other ints via ``format``, and hex and vocabulary
+# strings unescaped because they never need escaping.
 # A new or changed detail layout must update this table; any other kind goes
 # through the shared encoder.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _optional(d: dict, key: str) -> str:
-    """The trailing integer ``key`` of a detail, or nothing when the record omits it."""
-    return f',"{key}":{d[key]}' if key in d else ""
+class _IdText(dict):
+    """The JSON text of a node id: made once for every id a scenario may use
+    (and for None), and on each use for any other int."""
+
+    def __missing__(self, key: int) -> str:
+        return str(key)
 
 
-TRACE_DETAIL = {
-    "ctrl_sent": lambda d: f'{{"to":{d["to"]},"ctrl":"{d["ctrl"]}"{_optional(d, "channel")}}}',
-    "ctrl_rx": lambda d: f'{{"from":{d["from"]},"ctrl":"{d["ctrl"]}"{_optional(d, "target")}}}',
-    "data_tx": lambda d: (
-        f'{{"to":{d["to"]},"msg_id":{d["msg_id"]},"fragment":{d["fragment"]},'
-        f'"slots":{d["slots"]}{_optional(d, "channel")}}}'
-    ),
-    "data_rx": lambda d: (
-        f'{{"from":{d["from"]},"msg_id":{d["msg_id"]},"fragment":{d["fragment"]},'
-        f'"payload":"{d["payload"]}","hop_trace":{str(d["hop_trace"]).replace(" ", "")}}}'
-    ),
-    "ack_tx": lambda d: f'{{"to":{d["to"]},"msg_id":{d["msg_id"]}{_optional(d, "channel")}}}',
-    "ack_rx": lambda d: f'{{"msg_id":{d["msg_id"]},"from":{d["from"]}}}',
-    "msg_send": lambda d: (
-        f'{{"msg_id":{d["msg_id"]},"dst":{d["dst"]},"bytes":{d["bytes"]},'
-        f'"fragments":{d["fragments"]},"plaintext":"{d["plaintext"]}"}}'
-    ),
-    "delivery": lambda d: (
-        f'{{"msg_id":{d["msg_id"]},"src":{d["src"]},"bytes":{d["bytes"]},"hops":{d["hops"]},'
-        f'"latency_us":{d["latency_us"]!r},"retries":{d["retries"]},'
-        f'"plaintext":"{d["plaintext"]}"}}'
-    ),
-    "ack_timeout": lambda d: f'{{"msg_id":{d["msg_id"]},"retries_left":{d["retries_left"]}}}',
-    "discovery": lambda d: f'{{"target":{d["target"]}}}',
-    "drop": lambda d: (
-        f'{{"msg_id":{d["msg_id"]},"fragment":{d["fragment"]},"class":"{d["class"]}"}}'
-    ),
-    "adv_timer": lambda d: "{}",
-    "motion": lambda d: "{}",
+_id_text = _IdText({None: "null"} | {i: str(i) for i in range(NODE_ID_MAX + 1)}).__getitem__
+
+
+def _ctrl_sent(r: dict) -> str:
+    d = r["detail"]
+    channel = f',"channel":{d["channel"]}' if "channel" in d else ""
+    return (f'{{"t_us":{r["t_us"]!r},"seq":{r["seq"]},"kind":"ctrl_sent",'
+            f'"node":{_id_text(r["node"])},"detail":{{"to":{_id_text(d["to"])},'
+            f'"ctrl":"{d["ctrl"]}"{channel}}}}}\n')
+
+
+def _ctrl_rx(r: dict) -> str:
+    d = r["detail"]
+    target = f',"target":{d["target"]}' if "target" in d else ""
+    return (f'{{"t_us":{r["t_us"]!r},"seq":{r["seq"]},"kind":"ctrl_rx",'
+            f'"node":{_id_text(r["node"])},"detail":{{"from":{_id_text(d["from"])},'
+            f'"ctrl":"{d["ctrl"]}"{target}}}}}\n')
+
+
+def _data_tx(r: dict) -> str:
+    d = r["detail"]
+    channel = f',"channel":{d["channel"]}' if "channel" in d else ""
+    return (f'{{"t_us":{r["t_us"]!r},"seq":{r["seq"]},"kind":"data_tx",'
+            f'"node":{_id_text(r["node"])},"detail":{{"to":{_id_text(d["to"])},'
+            f'"msg_id":{d["msg_id"]},"fragment":{d["fragment"]},'
+            f'"slots":{d["slots"]}{channel}}}}}\n')
+
+
+def _data_rx(r: dict) -> str:
+    d = r["detail"]
+    return (f'{{"t_us":{r["t_us"]!r},"seq":{r["seq"]},"kind":"data_rx",'
+            f'"node":{_id_text(r["node"])},"detail":{{"from":{_id_text(d["from"])},'
+            f'"msg_id":{d["msg_id"]},"fragment":{d["fragment"]},"payload":"{d["payload"]}",'
+            f'"hop_trace":[{",".join(map(_id_text, d["hop_trace"]))}]}}}}\n')
+
+
+def _ack_tx(r: dict) -> str:
+    d = r["detail"]
+    channel = f',"channel":{d["channel"]}' if "channel" in d else ""
+    return (f'{{"t_us":{r["t_us"]!r},"seq":{r["seq"]},"kind":"ack_tx",'
+            f'"node":{_id_text(r["node"])},"detail":{{"to":{_id_text(d["to"])},'
+            f'"msg_id":{d["msg_id"]}{channel}}}}}\n')
+
+
+def _ack_rx(r: dict) -> str:
+    d = r["detail"]
+    return (f'{{"t_us":{r["t_us"]!r},"seq":{r["seq"]},"kind":"ack_rx",'
+            f'"node":{_id_text(r["node"])},"detail":{{"msg_id":{d["msg_id"]},'
+            f'"from":{_id_text(d["from"])}}}}}\n')
+
+
+def _msg_send(r: dict) -> str:
+    d = r["detail"]
+    return (f'{{"t_us":{r["t_us"]!r},"seq":{r["seq"]},"kind":"msg_send",'
+            f'"node":{_id_text(r["node"])},"detail":{{"msg_id":{d["msg_id"]},'
+            f'"dst":{_id_text(d["dst"])},"bytes":{d["bytes"]},"fragments":{d["fragments"]},'
+            f'"plaintext":"{d["plaintext"]}"}}}}\n')
+
+
+def _delivery(r: dict) -> str:
+    d = r["detail"]
+    return (f'{{"t_us":{r["t_us"]!r},"seq":{r["seq"]},"kind":"delivery",'
+            f'"node":{_id_text(r["node"])},"detail":{{"msg_id":{d["msg_id"]},'
+            f'"src":{_id_text(d["src"])},"bytes":{d["bytes"]},"hops":{d["hops"]},'
+            f'"latency_us":{d["latency_us"]!r},"retries":{d["retries"]},'
+            f'"plaintext":"{d["plaintext"]}"}}}}\n')
+
+
+def _ack_timeout(r: dict) -> str:
+    d = r["detail"]
+    return (f'{{"t_us":{r["t_us"]!r},"seq":{r["seq"]},"kind":"ack_timeout",'
+            f'"node":{_id_text(r["node"])},"detail":{{"msg_id":{d["msg_id"]},'
+            f'"retries_left":{d["retries_left"]}}}}}\n')
+
+
+def _discovery(r: dict) -> str:
+    return (f'{{"t_us":{r["t_us"]!r},"seq":{r["seq"]},"kind":"discovery",'
+            f'"node":{_id_text(r["node"])},'
+            f'"detail":{{"target":{_id_text(r["detail"]["target"])}}}}}\n')
+
+
+def _drop(r: dict) -> str:
+    d = r["detail"]
+    return (f'{{"t_us":{r["t_us"]!r},"seq":{r["seq"]},"kind":"drop",'
+            f'"node":{_id_text(r["node"])},"detail":{{"msg_id":{d["msg_id"]},'
+            f'"fragment":{d["fragment"]},"class":"{d["class"]}"}}}}\n')
+
+
+def _no_detail(r: dict) -> str:
+    """``adv_timer`` and ``motion``, whose detail is always empty."""
+    return (f'{{"t_us":{r["t_us"]!r},"seq":{r["seq"]},"kind":"{r["kind"]}",'
+            f'"node":{_id_text(r["node"])},"detail":{{}}}}\n')
+
+
+TRACE_FORMATTERS = {
+    "ctrl_sent": _ctrl_sent,
+    "ctrl_rx": _ctrl_rx,
+    "data_tx": _data_tx,
+    "data_rx": _data_rx,
+    "ack_tx": _ack_tx,
+    "ack_rx": _ack_rx,
+    "msg_send": _msg_send,
+    "delivery": _delivery,
+    "ack_timeout": _ack_timeout,
+    "discovery": _discovery,
+    "drop": _drop,
+    "adv_timer": _no_detail,
+    "motion": _no_detail,
 }
+
+
+def _encoded_line(record: dict) -> str:
+    return _encode(record) + "\n"
 
 
 def trace_line(record: dict) -> str:
     """One NDJSON line of the trace: the compact ``json.dumps`` of ``record``."""
-    detail = TRACE_DETAIL.get(record["kind"])
-    if detail is None:
-        return _encode(record) + "\n"
-    node = record["node"]
-    return (
-        f'{{"t_us":{record["t_us"]!r},"seq":{record["seq"]},"kind":"{record["kind"]}",'
-        f'"node":{"null" if node is None else node},"detail":{detail(record["detail"])}}}\n'
-    )
+    return TRACE_FORMATTERS.get(record["kind"], _encoded_line)(record)
 
 
 class _TraceWriter:
@@ -90,7 +170,8 @@ class _TraceWriter:
         self._write = fh.write
 
     def append(self, record: dict) -> None:
-        self._write(trace_line(record))
+        # trace_line, inlined: one call per record.
+        self._write(TRACE_FORMATTERS.get(record["kind"], _encoded_line)(record))
 
 
 def _write_outputs(out_dir: Path, engine: Engine) -> None:
@@ -100,9 +181,10 @@ def _write_outputs(out_dir: Path, engine: Engine) -> None:
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     with open(out_dir / "deliveries.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
-        writer.writeheader()
-        writer.writerows(engine.metrics.rows.values())
+        # Each row's values are in CSV_HEADER order (metrics.record_event builds them).
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        writer.writerows(row.values() for row in engine.metrics.rows.values())
 
 
 def _sim_seconds(text: str) -> float:

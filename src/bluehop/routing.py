@@ -123,7 +123,7 @@ class ControlMessage:
         return self._entries
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteEntry:
     next_hop: int | None
     cost: int

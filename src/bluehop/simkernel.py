@@ -163,6 +163,17 @@ class Engine:
     holds the whole trace.
     """
 
+    # Slots, not an instance dict: CPython 3.11 shares a dict's keys across
+    # instances only up to 29 attributes, and past that every ``self.x`` load
+    # on the per-frame path is a hinted dict lookup instead of a slot read.
+    __slots__ = (
+        "config", "seed", "mode", "inf", "t_adv", "_expiry_hus", "t_ack", "retries",
+        "bits_per_slot", "horizon", "now", "queue", "trace", "_record_seq", "metrics",
+        "world", "net", "runtimes", "radios", "_hops", "_msg_counter", "transfers", "_ids",
+        "_movers", "near", "links", "_cell_w", "_cells", "_cell_of", "_blocks", "liveness",
+        "_motion_seq", "_round_seq",
+    )
+
     def __init__(self, config: ScenarioConfig, seed: int, trace=None):
         self.config = config
         self.seed = seed

@@ -19,13 +19,21 @@ class OpacityViolation(AssertionError):
     """A node other than the destination tried to open a sealed payload."""
 
 
+# ``str(k).encode()`` for each block counter k below its length: the
+# counters every keystream shares, extended when a longer one is asked for.
+_COUNTERS: list[bytes] = []
+
+
 def _keystream(seed: int, src: int, dst: int, length: int) -> bytes:
     """SHA-256 over "seal:<seed>:<src>:<dst>:<counter>" blocks, cut to length."""
-    prefix = hashlib.sha256(f"seal:{seed}:{src}:{dst}:".encode())
+    copy = hashlib.sha256(f"seal:{seed}:{src}:{dst}:".encode()).copy
+    n = (length + 31) // 32
+    while len(_COUNTERS) < n:
+        _COUNTERS.append(str(len(_COUNTERS)).encode())
     blocks = []
-    for counter in range((length + 31) // 32):
-        block = prefix.copy()
-        block.update(str(counter).encode())
+    for counter in _COUNTERS[:n]:
+        block = copy()
+        block.update(counter)
         blocks.append(block.digest())
     return b"".join(blocks)[:length]
 

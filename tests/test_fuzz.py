@@ -6,7 +6,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from bluehop import routing
-from bluehop.cli import trace_line
+from bluehop.cli import CSV_HEADER, trace_line
 from bluehop.metrics import deliveries_from_trace, replay, summarize
 from bluehop.scenario import validate_scenario
 from bluehop.simkernel import Engine, run_scenario
@@ -94,6 +94,8 @@ def test_bounded_random_runs_keep_their_invariants(config, seed):
     rows = deliveries_from_trace(trace)
     # The rows folded online (what `bluehop run` writes) match a direct walk.
     assert rows == list(m.rows.values()) == ref_deliveries(trace)
+    # `bluehop run` writes each row's values in order under CSV_HEADER.
+    assert all(list(row) == CSV_HEADER for row in m.rows.values())
     pending = {r["msg_id"] for r in rows if r["outcome"] == "pending"}
     assert m.messages_sent == len(rows) == m.delivered + m.failed_total + len(pending)
     _, again = run_scenario(config, seed)

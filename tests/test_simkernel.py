@@ -1,6 +1,9 @@
+import ast
+import inspect
 import json
 import math
 import sys
+import textwrap
 from collections import Counter
 from types import SimpleNamespace
 
@@ -145,6 +148,24 @@ class TestKernelBasics:
         _, trace = run_scenario(config, 0)
         assert records == trace
         assert [r["seq"] for r in records] == list(range(len(records)))
+
+    def test_the_engine_keeps_its_state_in_slots(self):
+        engine = Engine(parse_scenario(scenario_path("churn25.json")), 0)
+        assert not hasattr(engine, "__dict__")
+        assert all(hasattr(engine, name) for name in Engine.__slots__)
+
+    def test_every_slot_is_read_outside_the_constructor(self):
+        methods = [
+            node for node in ast.parse(textwrap.dedent(inspect.getsource(Engine))).body[0].body
+            if isinstance(node, ast.FunctionDef) and node.name != "__init__"
+        ]
+        read = {
+            node.attr for method in methods for node in ast.walk(method)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+        }
+        assert set(Engine.__slots__) <= read
+        assert len(set(Engine.__slots__)) == len(Engine.__slots__)
 
 
 def _kinds_at(trace, t_us, kinds):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from bluehop import metrics, scenario_path
-from bluehop.cli import TRACE_DETAIL
+from bluehop.cli import TRACE_FORMATTERS
 from bluehop.scenario import validate_scenario
 from bluehop.simkernel import run_scenario
 
@@ -93,4 +93,4 @@ def test_every_row_is_a_kind_the_metrics_fold():
 
 
 def test_every_formatted_kind_has_a_row():
-    assert set(TRACE_DETAIL) <= set(SCHEMA)
+    assert set(TRACE_FORMATTERS) <= set(SCHEMA)

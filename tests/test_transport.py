@@ -3,6 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
+from bluehop import transport
 from bluehop.transport import (
     Ack,
     OpacityViolation,
@@ -27,6 +28,18 @@ def keystream_oracle(seed, src, dst, length):
         out += hashlib.sha256(f"seal:{seed}:{src}:{dst}:{counter}".encode()).digest()
         counter += 1
     return out[:length]
+
+
+class TestKeystream:
+    def test_matches_the_block_construction(self):
+        for length in (0, 1, 31, 32, 33, 2000):
+            assert transport._keystream(42, 1, 2, length) == keystream_oracle(42, 1, 2, length)
+        # Longer than any keystream made so far in this process, so the shared
+        # counters grow by two blocks here.
+        blocks = len(transport._COUNTERS)
+        length = blocks * 32 + 33
+        assert transport._keystream(42, 1, 2, length) == keystream_oracle(42, 1, 2, length)
+        assert len(transport._COUNTERS) == blocks + 2
 
 
 class TestSeal:

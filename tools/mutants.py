@@ -335,6 +335,19 @@ MUTANTS = (
         "        partial.unlink(missing_ok=True)\n", "        pass\n",
         ("tests/test_cli.py::TestExitCodes::test_runtime_error_mid_run_leaves_no_trace",),
     ),
+    # Each formatted kind writes exactly json.dumps's line, optional fields included.
+    Mutant(
+        "data-tx-line-drops-channel", "cli.py",
+        '"slots":{d["slots"]}{channel}', '"slots":{d["slots"]}',
+        ("tests/test_cli.py::TestTraceLine::test_formatted_kinds_encode_like_json_dumps",),
+    ),
+    # Keystream blocks are numbered from 0, whatever the shared counters hold.
+    Mutant(
+        "keystream-counters-start-at-one", "transport.py",
+        "        _COUNTERS.append(str(len(_COUNTERS)).encode())\n",
+        "        _COUNTERS.append(str(len(_COUNTERS) + 1).encode())\n",
+        ("tests/test_transport.py::TestKeystream::test_matches_the_block_construction",),
+    ),
 )
 
 # Runs in the pytest process. Before any test module builds its settings, it
