@@ -10,6 +10,7 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from pathlib import Path
 
 from .metrics import summarize
@@ -217,8 +218,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_dump(args) -> int:
     """Print a state dump at ``--at``. The seed chooses only payloads, seals
-    and hop channels, none of which a dump shows, so the engine runs at 0."""
-    engine = Engine(parse_scenario(args.scenario), 0)
+    and hop channels, none of which a dump shows, so the engine runs at 0.
+    No dump reads the trace, so its sink keeps no record."""
+    engine = Engine(parse_scenario(args.scenario), 0, deque(maxlen=0))
     engine.run(until=sec_to_hus(args.at))
     print(json.dumps(args.dump(engine), indent=2))
     return 0

@@ -11,6 +11,7 @@ traces.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 from collections import deque
@@ -269,23 +270,37 @@ class Engine:
         self.queue.schedule(self.now, self.now + period, kind, *args, sequence=sequence)
 
     def run(self, until: int | None = None):
-        """Advance the run to ``until`` (default: the horizon). Resumable."""
-        handlers = {
-            EventKind.MOTION_UPDATE: self._on_motion,
-            EventKind.ADVERTISEMENT_TIMER: self._on_adv_round,
-            EventKind.ACK_TIMER: self._on_ack_timer,
-            EventKind.NEIGHBOR_EXPIRY: self._on_neighbor_expiry,
-            EventKind.PACKET_ARRIVAL: self._on_arrival,
-            EventKind.SCENARIO_ACTION: self._on_scenario_action,
-        }
-        limit = self.horizon if until is None else min(until, self.horizon)
-        heap, pop = self.queue.heap, self.queue.pop
-        while heap and heap[0][0] <= limit:
-            time, _, kind, args = pop()
-            self.now = time
-            handlers[kind](*args)
-        self.now = max(self.now, limit)
-        return self.metrics, self.trace
+        """Advance the run to ``until`` (default: the horizon). Resumable.
+
+        The cyclic garbage collector is off while the run advances, and the
+        caller's setting is back on return, also when a handler raises: a run
+        makes no reference cycles, so a collection inside it would only
+        re-scan the live records and routing state.
+        """
+        # Reference counts free all that a run drops; no cycle is left for the
+        # collector (tests/test_simkernel.py::TestCollectorHoldOff checks it).
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            handlers = {
+                EventKind.MOTION_UPDATE: self._on_motion,
+                EventKind.ADVERTISEMENT_TIMER: self._on_adv_round,
+                EventKind.ACK_TIMER: self._on_ack_timer,
+                EventKind.NEIGHBOR_EXPIRY: self._on_neighbor_expiry,
+                EventKind.PACKET_ARRIVAL: self._on_arrival,
+                EventKind.SCENARIO_ACTION: self._on_scenario_action,
+            }
+            limit = self.horizon if until is None else min(until, self.horizon)
+            heap, pop = self.queue.heap, self.queue.pop
+            while heap and heap[0][0] <= limit:
+                time, _, kind, args = pop()
+                self.now = time
+                handlers[kind](*args)
+            self.now = max(self.now, limit)
+            return self.metrics, self.trace
+        finally:
+            if enabled:
+                gc.enable()
 
     # ------------------------------------------------------------ trace/links
 

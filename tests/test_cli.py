@@ -100,6 +100,24 @@ class TestTablesAndTopo:
         for pico in topo["scatternet"]["piconets"]:
             assert len(pico["active_slaves"]) <= 7
 
+    @pytest.mark.parametrize("argv,dump", [
+        (["tables", scenario_path("churn25.json"), "--at", "2.5"], "routing_tables_json"),
+        (["topo", scenario_path("churn25.json")], "topo_json"),
+    ], ids=["tables", "topo"])
+    def test_a_dump_keeps_no_trace_record(self, argv, dump, monkeypatch, capsys):
+        engines = []
+        original = getattr(Engine, dump)
+
+        def spy(engine):
+            engines.append(engine)
+            return original(engine)
+
+        monkeypatch.setattr(Engine, dump, spy)
+        assert main(argv) == 0
+        [engine] = engines
+        assert next(engine._record_seq) > 0  # the run emitted records ...
+        assert list(engine.trace) == []      # ... and the dump kept none
+
 
 class TestExitCodes:
     def test_validation_error_is_exit_one(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bluehop import routing
 from bluehop.cli import CSV_HEADER, trace_line
 from bluehop.metrics import deliveries_from_trace, replay, summarize
-from bluehop.scenario import validate_scenario
+from bluehop.scenario import NODE_ID_MAX, validate_scenario
 from bluehop.simkernel import Engine, run_scenario
 
 
@@ -217,4 +217,55 @@ def test_the_engine_seed_chooses_only_payloads_seals_and_channels(spec, seed):
         m, trace = run_scenario(config, 0)
         other_m, other = run_scenario(config, seed)
         assert _unseeded(other) == _unseeded(trace)
+        assert summarize(other_m) == summarize(m)
+
+
+# The trace fields that hold a node id, and those that hold a list of them
+# (README's trace table); a piconet's ``id`` numbers the piconet, not a node.
+ID_FIELDS = {"to", "from", "dst", "src", "target", "neighbor", "master"}
+ID_LISTS = {"neighbors", "hop_trace", "bridges", "active_slaves", "parked_slaves"}
+# Seals and hop sequences derive from ids; plaintext derives from msg_id only.
+ID_SEEDED = {"payload", "channel"}
+
+
+def _relabelled_spec(spec, ids):
+    return dict(
+        spec,
+        nodes=[dict(node, id=ids[node["id"]]) for node in spec["nodes"]],
+        traffic=[dict(t, src=ids[t["src"]], dst=ids[t["dst"]]) for t in spec["traffic"]],
+        actions=[dict(a, node=ids[a["node"]]) for a in spec["actions"]],
+    )
+
+
+def _relabelled_trace(trace, ids):
+    """``trace`` with every node id mapped through ``ids`` and the fields
+    derived from ids dropped."""
+    def value(key, v):
+        if key in ID_FIELDS:
+            return ids[v]
+        if key in ID_LISTS:
+            return [ids[m] for m in v]
+        if key == "piconets":
+            return [detail(p) for p in v]
+        return v
+
+    def detail(d):
+        return {k: value(k, v) for k, v in d.items() if k not in ID_SEEDED}
+
+    return [dict(r, node=None if r["node"] is None else ids[r["node"]], detail=detail(r["detail"]))
+            for r in trace]
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario_specs(), st.integers(0, 3), st.data())
+def test_relabelling_ids_in_order_relabels_the_trace(spec, seed, data):
+    n = len(spec["nodes"])
+    new_ids = data.draw(st.lists(st.integers(0, NODE_ID_MAX), min_size=n, max_size=n,
+                                 unique=True).map(sorted))
+    ids = dict(zip(range(n), new_ids))
+    for mode in ("geometric", "scatternet"):
+        m, trace = run_scenario(validate_scenario(dict(spec, link_mode=mode)), seed)
+        relabelled = _relabelled_spec(dict(spec, link_mode=mode), ids)
+        other_m, other = run_scenario(validate_scenario(relabelled), seed)
+        assert _relabelled_trace(other, {i: i for i in new_ids}) == _relabelled_trace(trace, ids)
         assert summarize(other_m) == summarize(m)

@@ -1,4 +1,5 @@
 import ast
+import gc
 import inspect
 import json
 import math
@@ -27,7 +28,7 @@ from bluehop.topology import Node, NodeState, Position
 
 from conftest import advert, geometric_scenario
 from test_fuzz import scenario_specs
-from test_reference_run import all_reference
+from test_reference_run import GALLERY, all_reference
 
 
 class TestEventQueue:
@@ -166,6 +167,90 @@ class TestKernelBasics:
         }
         assert set(Engine.__slots__) <= read
         assert len(set(Engine.__slots__)) == len(Engine.__slots__)
+
+
+def _unreachable_after_a_run(config, seed):
+    """What ``gc.collect()`` finds unreachable once an engine has been built, run
+    and dropped, with the collector off throughout, so that no cycle is freed
+    before the count."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        engine = Engine(config, seed)
+        engine.run()
+        del engine
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class _CollectorProbe:
+    """A trace sink that notes, at each record, whether the collector is on."""
+
+    def __init__(self, fail_at: str | None = None):
+        self.states = []
+        self.fail_at = fail_at
+
+    def append(self, record):
+        self.states.append(gc.isenabled())
+        if record["kind"] == self.fail_at:
+            raise RuntimeError(f"sink failed at {record['kind']}")
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The collector's setting for the test, restored afterwards."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorHoldOff:
+    """``Engine.run`` holds the cyclic collector off, which is safe only while
+    no run makes a reference cycle."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", GALLERY)
+    def test_a_gallery_run_leaves_no_cycle(self, name, seed):
+        config = parse_scenario(scenario_path(f"{name}.json"))
+        assert _unreachable_after_a_run(config, seed) == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(scenario_specs(), st.integers(0, 3))
+    def test_a_fuzzed_run_leaves_no_cycle(self, spec, seed):
+        for mode in ("geometric", "scatternet"):
+            config = validate_scenario(dict(spec, link_mode=mode))
+            assert _unreachable_after_a_run(config, seed) == 0
+
+    def test_the_collector_is_off_at_every_record_of_a_run(self, collector):
+        probe = _CollectorProbe()
+        engine = Engine(parse_scenario(scenario_path("churn25.json")), 0, probe)
+        probe.states.clear()  # set-up's records are not the run's
+        engine.run()
+        assert probe.states and not any(probe.states)
+        assert gc.isenabled() is collector
+
+    def test_a_resumed_run_restores_the_setting_at_each_stop(self, collector):
+        probe = _CollectorProbe()
+        engine = Engine(parse_scenario(scenario_path("churn25.json")), 0, probe)
+        probe.states.clear()
+        for until in (0, engine.horizon // 3, engine.horizon // 2):
+            engine.run(until=until)
+            assert gc.isenabled() is collector
+        engine.run()
+        assert gc.isenabled() is collector
+        assert probe.states and not any(probe.states)
+
+    def test_a_run_whose_handler_raises_restores_the_setting(self, collector):
+        probe = _CollectorProbe(fail_at="delivery")
+        engine = Engine(parse_scenario(scenario_path("line5.json")), 0, probe)
+        with pytest.raises(RuntimeError, match="sink failed at delivery"):
+            engine.run()
+        assert probe.states[-1] is False
+        assert gc.isenabled() is collector
 
 
 def _kinds_at(trace, t_us, kinds):

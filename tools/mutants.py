@@ -9,6 +9,9 @@ mutant's tests against it in one pytest process, with Hypothesis's example
 database off, so a kill is never replayed from an earlier failure. Mutants run
 one at a time; the repository itself is never edited, and Hypothesis's files
 (the patches it writes for failing examples) stay in the temporary directory.
+For each mutant it prints pytest's last line and, under it, the node id of
+the test that killed it (pytest stops at the first failure), so the log shows
+which property each kill rests on.
 
 It exits 1, before running any mutant, when a mutant's old text does not
 occur exactly once in its module (the code moved on and the mutant must be
@@ -341,6 +344,20 @@ MUTANTS = (
         '"slots":{d["slots"]}{channel}', '"slots":{d["slots"]}',
         ("tests/test_cli.py::TestTraceLine::test_formatted_kinds_encode_like_json_dumps",),
     ),
+    # A run holds the cyclic collector off, which is safe only while it makes
+    # no reference cycle, and it gives the caller back its setting.
+    Mutant(
+        "run-keeps-its-handlers-on-the-queue", "simkernel.py",
+        "            handlers = {\n", "            self.queue.handlers = handlers = {\n",
+        ("tests/test_simkernel.py::TestCollectorHoldOff::test_a_gallery_run_leaves_no_cycle",),
+    ),
+    Mutant(
+        "run-leaves-the-collector-on", "simkernel.py",
+        "            if enabled:\n                gc.enable()\n",
+        "            gc.enable()\n",
+        ("tests/test_simkernel.py::TestCollectorHoldOff::"
+         "test_a_run_whose_handler_raises_restores_the_setting",),
+    ),
     # Keystream blocks are numbered from 0, whatever the shared counters hold.
     Mutant(
         "keystream-counters-start-at-one", "transport.py",
@@ -369,7 +386,8 @@ class Mutant:
         if not bluehop.__file__.startswith(sys.argv[1]):
             raise pytest.UsageError(f"imported {bluehop.__file__}, not the mutated copy")
 
-sys.exit(pytest.main(["-q", "-x", "-p", "no:cacheprovider", *sys.argv[2:]], plugins=[Mutant()]))
+sys.exit(pytest.main(["-q", "-x", "-rf", "-p", "no:cacheprovider", *sys.argv[2:]],
+                     plugins=[Mutant()]))
 """
 
 
@@ -408,8 +426,9 @@ def missing_tests() -> list[str]:
     ]
 
 
-def run_mutant(m: Mutant) -> tuple[bool, str]:
-    """(killed, pytest's last line) for one mutant, run against a mutated copy."""
+def run_mutant(m: Mutant) -> tuple[bool, str, list[str]]:
+    """(killed, pytest's last line, the node ids of the tests that failed) for
+    one mutant, run against a mutated copy."""
     with tempfile.TemporaryDirectory(prefix="bluehop-mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -426,7 +445,10 @@ def run_mutant(m: Mutant) -> tuple[bool, str]:
     last = lines[-1] if lines else ""
     if proc.returncode not in (0, 1):  # collection error, bad node id, crash
         raise RuntimeError(f"{m.name}: pytest exited {proc.returncode}: {last}")
-    return proc.returncode == 1, last
+    # pytest's -rf summary: "FAILED <node id> - <message>".
+    failed = [line[len("FAILED "):].partition(" - ")[0]
+              for line in lines if line.startswith("FAILED ")]
+    return proc.returncode == 1, last, failed
 
 
 def main() -> int:
@@ -439,8 +461,10 @@ def main() -> int:
     start = time.perf_counter()
     for m in MUTANTS:
         t0 = time.perf_counter()
-        killed, last = run_mutant(m)
+        killed, last, failed = run_mutant(m)
         print(f"{'killed  ' if killed else 'SURVIVED'} {m.name} ({time.perf_counter() - t0:.1f} s): {last}")
+        for test in failed:
+            print(f"    failed {test}")
         if not killed:
             survivors.append(m.name)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
