@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-FAILURE_CLASSES = ("forward-failure", "ttl-drop", "retry-exhausted", "rejected")
+FAILURE_CLASSES = (
+    "forward-failure", "ttl-drop", "frame-lost", "no-route", "retry-exhausted", "rejected"
+)
 
 # Trace kinds that carry no counter updates but are legal in a trace.
 _PASSIVE_KINDS = frozenset(

@@ -5,14 +5,13 @@ protocol timers and packet arrivals. Time is an integer half-microsecond
 counter. At one instant the motion tick, then the advertisement round, run
 right after the events armed when set-up started each node's routing; every
 other tie breaks by scheduling order. Every random quantity (hop sequences,
-payload seals, synthetic payloads) derives from the engine seed through a
-named label, so two runs of the same (config, seed) produce byte-identical
-traces.
+payload seals, synthetic payloads) is drawn from ``transport.seeded_random``
+under the engine seed and a named label, so two runs of the same (config,
+seed) produce byte-identical traces.
 """
 from __future__ import annotations
 
 import gc
-import hashlib
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
@@ -110,8 +109,9 @@ Body = routing.ControlMessage | transport.DataPacket | transport.Ack
 
 
 # Frame types as named in ``packet_lost`` trace records: by body type, and by
-# kind for control messages.
+# kind for control messages; a None body is an advertisement never built.
 _FTYPE = {
+    type(None): "adv",
     transport.DataPacket: "data",
     transport.Ack: "ack",
     routing.MessageKind.ADVERTISEMENT: "adv",
@@ -127,14 +127,16 @@ class Radio:
 
     ``depth`` counts the frames queued to each neighbour, advertisements
     included, and ``advs`` holds the neighbours with an advertisement queued:
-    they coalesce to one per link. Only ``Engine._enqueue_frame`` appends and
-    ``Engine._try_service`` pops.
+    they coalesce to one per link. Only ``Engine._enqueue_frame`` appends,
+    ``Engine._try_service`` pops and ``Engine._power_off`` empties. ``cut`` is
+    the airtime end of a frame whose sender powered off while it was on air.
     """
 
     txq: deque[tuple[int, Body | None]] = field(default_factory=deque)
     busy_until: int = 0
     advs: set[int] = field(default_factory=set)
     depth: dict[int, int] = field(default_factory=dict)
+    cut: int | None = None
 
 
 @dataclass
@@ -145,11 +147,6 @@ class NodeRuntime:
     # Neighbours heard since power-on and not forgotten since.
     known: set[int] = field(default_factory=set)
     reassembly: dict[int, dict[int, bytes]] = field(default_factory=dict)
-
-
-def derive_seed(scenario_seed: int, label: str) -> int:
-    digest = hashlib.sha256(f"bluehop:{label}:{scenario_seed}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def _t_us(t_hus: int):
@@ -388,10 +385,9 @@ class Engine:
                 n: near for n, near in near_of.items() if world[n].state is _ACTIVE
             }
             self.net = scatternet.form_scatternet(active)
-            self._hops = [
-                baseband.HopSequence(seed=derive_seed(self.seed, f"hop:{p.master}"))
-                for p in self.net.piconets
-            ]
+            # One key per formation; hop_channel's mix spreads key ^ master.
+            key = transport.seeded_random("hop", self.seed).getrandbits(64)
+            self._hops = [baseband.HopSequence(seed=key ^ p.master) for p in self.net.piconets]
             self._emit("scatternet", None, scatternet.scatternet_to_json(self.net))
             touched = self._ids  # a re-form may move any grant
         granted = self.net.links if self.mode is _SCATTERNET else None
@@ -484,7 +480,8 @@ class Engine:
         """Start the next queued transmission of ``n``, whose radio is idle.
 
         Callers check ``busy_until <= now`` first; a busy radio is serviced by
-        the arrival that ends its airtime.
+        the arrival that ends its airtime. Only an active node has frames
+        queued: power-off empties the queue.
         """
         now = self.now
         while radio.txq:
@@ -495,9 +492,6 @@ class Engine:
                 # Content is built at transmission time so a queued triggered
                 # advertisement always carries the latest table.
                 body = routing.make_advertisement(self.runtimes[n].table, to)
-            if self.world[n].state is not _ACTIVE:
-                self._lost(n, "to", to, body, "sender_inactive")
-                continue
             if self.mode is _SCATTERNET:
                 link = self.net.link_piconet(n, to)
                 if link is None:
@@ -525,10 +519,21 @@ class Engine:
             self.queue.schedule(now, radio.busy_until, _ARRIVAL, n, to, body)
             return
 
-    def _lost(self, n: int, side: str, peer: int, body: Body, where: str) -> None:
-        """Trace a frame lost at ``n``; ``side`` ("to" or "from") names its peer."""
-        ftype = _FTYPE[body.kind if type(body) is routing.ControlMessage else type(body)]
-        self._emit("packet_lost", n, {side: peer, "ftype": ftype, "where": where})
+    def _lost(self, n: int, side: str, peer: int, body: Body | None, where: str) -> None:
+        """Trace a frame lost at ``n``; ``side`` ("to" or "from") names its peer.
+
+        A lost data frame or ack names its message; a data loss also tags its
+        transfer, as a drop does.
+        """
+        body_type = type(body)
+        ftype = _FTYPE[body.kind if body_type is routing.ControlMessage else body_type]
+        detail = {side: peer, "ftype": ftype, "where": where}
+        if body_type is transport.DataPacket:
+            detail["msg_id"], detail["fragment"] = body.msg_id, body.fragment_index
+            self.transfers[body.msg_id].last_drop_class = "frame-lost"
+        elif body_type is transport.Ack:
+            detail["msg_id"] = body.msg_id
+        self._emit("packet_lost", n, detail)
 
     # ---------------------------------------------------------- timers/churn
 
@@ -594,10 +599,27 @@ class Engine:
         was_active = node.state is _ACTIVE
         node.state = state
         self._emit("state_change", n, {"state": state.value})
+        if was_active and state is not _ACTIVE:
+            self._power_off(n)
         self._relink([n])
         if state is _ACTIVE and not was_active:
             # A node that rejoins finds its immediate neighbours afresh.
             self._init_node_routing(n)
+
+    def _power_off(self, n: int) -> None:
+        """Lose every frame ``n`` has queued, at once, and the frame it has on air.
+
+        The queued frames are lost now, not when the airtime ends, since the
+        node may be on again by then; the frame on air is lost at its arrival.
+        """
+        radio = self.radios[n]
+        if radio.busy_until > self.now:
+            radio.cut = radio.busy_until
+        for to, body in radio.txq:
+            self._lost(n, "to", to, body, "sender_inactive")
+        radio.txq.clear()
+        radio.advs.clear()
+        radio.depth.clear()
 
     # ------------------------------------------------------------- transport
 
@@ -683,7 +705,10 @@ class Engine:
         if retries_left <= 0:
             transfer.deadline = None
             transfer.failed = True
-            cls = transfer.last_drop_class or "retry-exhausted"
+            # A message that never found a first hop never left its source.
+            cls = transfer.last_drop_class or (
+                "retry-exhausted" if transfer.routes_tried else "no-route"
+            )
             self._emit(
                 "msg_failed",
                 src,
@@ -702,6 +727,12 @@ class Engine:
         radio = self.radios[sender]
         if radio.txq and radio.busy_until <= self.now:
             self._try_service(sender, radio)
+        if radio.cut == self.now:
+            # The frame on air when its sender powered off. A farewell due at
+            # this instant was queued after it, so it arrives after it.
+            radio.cut = None
+            self._lost(n, "from", sender, body, "sender_inactive")
+            return
         if self.world[n].state is not _ACTIVE:
             self._lost(n, "from", sender, body, "receiver_inactive")
             return

@@ -1,15 +1,16 @@
 """End-to-end delivery: sealing, fragmentation, acks and retransmission.
 
-Payloads are sealed with a deterministic keystream derived from the scenario
-seed and the (source, destination) pair, so relays can forward but never
-read them; only the destination opens the seal. Sealed payloads are split
-into slot-sized fragments, acknowledged end to end after reassembly, and
-retransmitted over an alternate first hop when the ack timer expires.
+Payloads are sealed with a deterministic keystream drawn, like every seeded
+byte, from ``seeded_random`` under the scenario seed and the (source,
+destination) pair, so relays can forward but never read them; only the
+destination opens the seal. Sealed payloads are split into slot-sized
+fragments, acknowledged end to end after reassembly, and retransmitted over
+an alternate first hop when the ack timer expires.
 """
 from __future__ import annotations
 
 import functools
-import hashlib
+import random
 from dataclasses import dataclass, field
 
 from .baseband import BITS_PER_SLOT, SLOT_LENGTHS
@@ -19,29 +20,19 @@ class OpacityViolation(AssertionError):
     """A node other than the destination tried to open a sealed payload."""
 
 
-# ``str(k).encode()`` for each block counter k below its length: the
-# counters every keystream shares, extended when a longer one is asked for.
-_COUNTERS: list[bytes] = []
+def seeded_random(label: str, seed: int) -> random.Random:
+    """The generator of every byte that ``label`` draws under the engine seed.
 
-
-def _keystream(seed: int, src: int, dst: int, length: int) -> bytes:
-    """SHA-256 over "seal:<seed>:<src>:<dst>:<counter>" blocks, cut to length."""
-    copy = hashlib.sha256(f"seal:{seed}:{src}:{dst}:".encode()).copy
-    n = (length + 31) // 32
-    while len(_COUNTERS) < n:
-        _COUNTERS.append(str(len(_COUNTERS)).encode())
-    blocks = []
-    for counter in _COUNTERS[:n]:
-        block = copy()
-        block.update(counter)
-        blocks.append(block.digest())
-    return b"".join(blocks)[:length]
+    ``Random`` seeds from a text's SHA-512, so each (label, seed) text,
+    negative or wide seeds included, starts a stream of its own.
+    """
+    return random.Random(f"{label}:{seed}")
 
 
 @functools.lru_cache(maxsize=64)
 def _seal_key(seed: int, src: int, dst: int, length: int) -> int:
     """The seal keystream as one integer; a flow's messages repeat it."""
-    return int.from_bytes(_keystream(seed, src, dst, length), "big")
+    return seeded_random(f"seal:{src}:{dst}", seed).getrandbits(8 * length)
 
 
 def seal_payload(plaintext: bytes, src: int, dst: int, scenario_seed: int) -> bytes:
@@ -66,9 +57,9 @@ def open_payload_at(
 def make_payload(scenario_seed: int, msg_id: int, size: int) -> bytes:
     """Deterministic synthetic traffic payload of ``size`` bytes.
 
-    Not memoised: its (msg_id, size) key never repeats within a run.
+    Not memoised: its msg_id never repeats within a run.
     """
-    return _keystream(scenario_seed ^ 0x5CE2A810, msg_id, size, size)
+    return seeded_random(f"payload:{msg_id}", scenario_seed).randbytes(size)
 
 
 def max_fragment_bytes(bits_per_slot: int = BITS_PER_SLOT) -> int:

@@ -3,6 +3,7 @@ import copy
 import json
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bluehop import routing
@@ -152,6 +153,39 @@ def test_queue_counts_and_cached_next_hops_match_a_recomputation(spec, seed, ste
                     assert routing.next_hops(table, dest, links) == want
         _, whole = run_scenario(config, seed)
         assert json.dumps(engine.trace) == json.dumps(whole)
+
+
+# The records that end a queued frame at its sender; a withdraw farewell,
+# traced as ``ctrl_sent``, skips the transmit queue.
+_SENDER_ENDS = ("ctrl_sent", "data_tx", "ack_tx", "packet_lost")
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenario_specs(), st.integers(0, 3))
+def test_every_queued_frame_ends_in_one_transmit_or_loss(spec, seed):
+    queued = Counter()
+    enqueue = Engine._enqueue_frame
+
+    def counting(engine, n, to, body):
+        queued[n, to] += 1
+        enqueue(engine, n, to, body)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "_enqueue_frame", counting)
+        for mode in ("geometric", "scatternet"):
+            queued.clear()
+            engine = Engine(validate_scenario(dict(spec, link_mode=mode)), seed)
+            engine.run()
+            ended = Counter(
+                (r["node"], r["detail"]["to"])
+                for r in engine.trace
+                if r["kind"] in _SENDER_ENDS and "to" in r["detail"]
+                and r["detail"].get("ctrl") != "withdraw"
+            )
+            # A frame still queued at the horizon has not ended yet.
+            for n, radio in engine.radios.items():
+                ended.update((n, to) for to, _ in radio.txq)
+            assert ended == queued
 
 
 def _without_seq(trace):

@@ -137,5 +137,5 @@ class TestDeliveriesRows:
         config = parse_scenario(scenario_path("figure4_norelay.json"))
         _, trace = run_scenario(config, 0)
         row = deliveries_from_trace(trace)[0]
-        assert row["outcome"] == "retry-exhausted"
+        assert row["outcome"] == "no-route"
         assert row["hops"] == "" and row["latency_us"] == ""

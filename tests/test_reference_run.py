@@ -13,8 +13,7 @@ together over whole runs. The reference run
   only the changed ones (each still against its block of grid cells:
   ``test_links_match_the_link_rule_after_every_change`` in
   ``test_simkernel.py`` checks the grid against every pair);
-- recomputes every seal keystream (no memo), and builds each keystream
-  block's counter bytes with ``str`` (no shared counter list);
+- recomputes every seal keystream (no memo);
 - arms one neighbour expiry check per refresh, each acting only if nothing
   was heard since, instead of one live check per pair that re-arms itself;
   it keeps its own last-heard instants and never reads the engine's
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import math
 from collections import Counter
 
@@ -97,16 +95,6 @@ def all_reference():
     def seal_key_unmemoised(*args):
         used["seal"] += 1
         return seal_key(*args)
-
-    def keystream_with_str_counters(seed, src, dst, length):
-        used["keystream"] += 1
-        prefix = hashlib.sha256(f"seal:{seed}:{src}:{dst}:".encode())
-        blocks = []
-        for counter in range((length + 31) // 32):
-            block = prefix.copy()
-            block.update(str(counter).encode())
-            blocks.append(block.digest())
-        return b"".join(blocks)[:length]
 
     def refresh_arming_a_check(engine, n, neighbor):
         used["expiry"] += 1
@@ -176,7 +164,6 @@ def all_reference():
         mp.setattr(Engine, "_relink", relink_everyone)
         mp.setattr(Engine, "_forward", forward_by_candidates)
         mp.setattr(transport, "_seal_key", seal_key_unmemoised)
-        mp.setattr(transport, "_keystream", keystream_with_str_counters)
         mp.setattr(Engine, "_refresh_neighbor", refresh_arming_a_check)
         mp.setattr(Engine, "_on_neighbor_expiry", expire_if_unheard_since)
         mp.setattr(Engine, "_try_service", service_unless_busy)
@@ -226,6 +213,6 @@ def test_every_switch_reaches_the_engine():
     with all_reference() as used:
         Engine(parse_scenario(scenario_path("diamond_failover.json")), 0).run()
     assert set(used) == {
-        "make", "process", "hops", "relink", "forward", "seal", "keystream", "expiry", "radio",
-        "traffic", "queue",
+        "make", "process", "hops", "relink", "forward", "seal", "expiry", "radio", "traffic",
+        "queue",
     }

@@ -664,7 +664,8 @@ class TestFailureModes:
         config = parse_scenario(scenario_path("figure4_norelay.json"))
         m, trace = run_scenario(config, 0)
         assert m.delivered == 0
-        assert m.failed == {"retry-exhausted": 1}
+        # The endpoints are out of range, so no attempt found a first hop.
+        assert m.failed == {"no-route": 1}
         timeouts = [r for r in trace if r["kind"] == "ack_timeout"]
         assert len(timeouts) == 4  # initial deadline plus three retries
 
@@ -705,20 +706,25 @@ class TestChurnReactions:
     def test_stale_advertisement_counted(self):
         config = validate_scenario(
             {
-                "horizon": 2.0,
+                "horizon": 0.2,
                 "nodes": [
                     {"id": 0, "x": 0.0, "y": 0.0, "class": 3},
-                    {"id": 1, "x": 5.0, "y": 0.0, "class": 3},
+                    {"id": 1, "x": 5.0, "y": 0.0, "class": 3, "waypoints": [[0.1, 50.0, 0.0]]},
+                    {"id": 2, "x": 100.0, "y": 0.0, "class": 3},
                 ],
-                # Node 1's periodic advertisement at t=1.0 is in the air when
-                # it powers off, so the arrival sees a dead link.
-                "actions": [
-                    {"time": 1.0002, "node": 1, "action": "set_state", "state": "off"}
-                ],
+                # Node 1 asks node 0 for a route to the unreachable node 2.
+                # Node 0's answering advertisement is in the air at the motion
+                # tick at t=0.1 that takes node 1 out of range, so the arrival
+                # sees a dead link.
+                "traffic": [{"time": 0.099, "src": 1, "dst": 2, "payload_bytes": 10}],
             }
         )
-        m, _ = run_scenario(config, 0)
-        assert m.stale_control >= 1
+        m, trace = run_scenario(config, 0)
+        assert m.stale_control == 1
+        stale = [r for r in trace if r["kind"] == "stale_ctrl"]
+        assert [(r["node"], r["detail"]) for r in stale] == [
+            (1, {"from": 0, "ctrl": "advertisement"})
+        ]
 
     def test_silent_neighbor_expires_after_three_periods(self):
         config = validate_scenario(
@@ -826,15 +832,9 @@ def _reboot_mid_transfer():
     return run_scenario(config, 0)[1]
 
 
-# A known fault of the power-off rule: the frame on air when its sender powers
-# off still arrives. Fixing it changes traces, so it is pinned here until the
-# power-off rework lands.
-_REBOOT_FAULT = "ROADMAP item 5, step 2: the frame on air survives its sender's power-off"
-
-
 class TestRebootFaults:
     def test_every_queued_fragment_is_sent_or_lost(self):
-        # The radio record survives power-on, so the queued fragments are sent.
+        # Fragment 0 is on air at the power-off; fragments 1 and 2 are lost.
         trace = _reboot_mid_transfer()
         outcomes = [
             r
@@ -847,13 +847,42 @@ class TestRebootFaults:
         ]
         assert len(outcomes) == 3
 
-    @pytest.mark.xfail(strict=True, reason=_REBOOT_FAULT)
     def test_frame_on_air_is_lost_when_its_sender_powers_off(self):
         trace = _reboot_mid_transfer()
         assert not [
             r
             for r in trace
             if r["kind"] == "data_rx" and r["node"] == 1 and r["detail"]["from"] == 0
+        ]
+
+    def test_power_off_loses_the_queue_at_once_and_the_frame_on_air_at_its_arrival(self):
+        lost = [(r["t_us"], r["node"], r["detail"])
+                for r in _reboot_mid_transfer() if r["kind"] == "packet_lost"]
+        data = {"ftype": "data", "where": "sender_inactive", "msg_id": 0}
+        assert lost == [
+            (100_200, 0, {"to": 1, **data, "fragment": 1}),
+            (100_200, 0, {"to": 1, **data, "fragment": 2}),
+            (103_125, 1, {"from": 0, **data, "fragment": 0}),
+        ]
+
+    def test_a_farewell_due_with_the_cut_frame_still_arrives(self):
+        # Node 1 withdraws right after the round puts its one-slot
+        # advertisement on air, so the farewell, one slot later, arrives at
+        # the instant the cut advertisement would have.
+        config = validate_scenario(
+            {
+                "horizon": 1.1,
+                "nodes": [{"id": 0, "x": 0.0, "y": 0.0, "class": 3},
+                          {"id": 1, "x": 5.0, "y": 0.0, "class": 3}],
+                "actions": [{"time": 1.0, "node": 1, "action": "withdraw"}],
+            }
+        )
+        _, trace = run_scenario(config, 0)
+        at_node_0 = [(r["kind"], r["detail"]) for r in trace
+                     if r["node"] == 0 and r["t_us"] == 1_000_625]
+        assert at_node_0 == [
+            ("packet_lost", {"from": 1, "ftype": "adv", "where": "sender_inactive"}),
+            ("ctrl_rx", {"from": 1, "ctrl": "withdraw"}),
         ]
 
 

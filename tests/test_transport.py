@@ -1,9 +1,7 @@
-import hashlib
-
 import pytest
 from hypothesis import given, strategies as st
 
-from bluehop import transport
+from bluehop import scenario_path
 from bluehop.transport import (
     Ack,
     OpacityViolation,
@@ -14,32 +12,44 @@ from bluehop.transport import (
     max_fragment_bytes,
     open_payload_at,
     seal_payload,
+    seeded_random,
 )
-from bluehop.scenario import validate_scenario
+from bluehop.scenario import parse_scenario, validate_scenario
 from bluehop.simkernel import run_scenario
 
-
-def keystream_oracle(seed, src, dst, length):
-    # The keystream definition, written out independently: SHA-256 over
-    # "seal:<seed>:<src>:<dst>:<counter>" blocks, truncated to length.
-    out = b""
-    counter = 0
-    while len(out) < length:
-        out += hashlib.sha256(f"seal:{seed}:{src}:{dst}:{counter}".encode()).digest()
-        counter += 1
-    return out[:length]
+LABELS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz:0123456789-", max_size=12)
+SEEDS = st.integers(-(2**70), 2**70)
 
 
-class TestKeystream:
-    def test_matches_the_block_construction(self):
-        for length in (0, 1, 31, 32, 33, 2000):
-            assert transport._keystream(42, 1, 2, length) == keystream_oracle(42, 1, 2, length)
-        # Longer than any keystream made so far in this process, so the shared
-        # counters grow by two blocks here.
-        blocks = len(transport._COUNTERS)
-        length = blocks * 32 + 33
-        assert transport._keystream(42, 1, 2, length) == keystream_oracle(42, 1, 2, length)
-        assert len(transport._COUNTERS) == blocks + 2
+class TestSeededRandom:
+    @given(LABELS, SEEDS, st.integers(0, 2000))
+    def test_draws_are_as_long_as_asked_and_repeat(self, label, seed, length):
+        drawn = seeded_random(label, seed).randbytes(length)
+        assert len(drawn) == length
+        assert seeded_random(label, seed).randbytes(length) == drawn
+
+    @given(LABELS, SEEDS, LABELS, SEEDS)
+    def test_distinct_label_seed_texts_draw_distinct_bytes(self, label, seed, other, other_seed):
+        if f"{label}:{seed}" != f"{other}:{other_seed}":
+            assert (seeded_random(label, seed).randbytes(16)
+                    != seeded_random(other, other_seed).randbytes(16))
+
+
+# Each seed against one that a sign fold or a 64-bit packing would merge with it.
+@pytest.mark.parametrize("seed,other", [(1, -1), (1, 2**64 + 1)])
+def test_every_seed_draws_its_own_payloads_seals_and_channels(seed, other):
+    config = parse_scenario(scenario_path("churn25.json"))  # scatternet mode
+
+    def seeded(trace):
+        return {
+            field: [r["detail"][field] for r in trace if field in r["detail"]]
+            for field in ("plaintext", "payload", "channel")
+        }
+
+    mine, theirs = seeded(run_scenario(config, seed)[1]), seeded(run_scenario(config, other)[1])
+    for field, values in mine.items():
+        assert values and len(values) == len(theirs[field])
+        assert values != theirs[field], field
 
 
 class TestSeal:
@@ -57,20 +67,17 @@ class TestSeal:
         assert len(sealed) == len(p)
         assert sealed != p
 
-    def test_matches_keystream_oracle(self):
-        p = b"hello world"
-        sealed = seal_payload(p, 1, 2, 42)
-        want = bytes(a ^ b for a, b in zip(p, keystream_oracle(42, 1, 2, len(p))))
-        assert sealed == want
-        # Frozen vector so drift across runs cannot go unnoticed.
-        assert sealed.hex() == "3d505311e9e52b561e3d52"
-        # Block edges, and twice each so the memoised key is read back too.
+    def test_xors_the_flows_seeded_keystream(self):
+        # Frozen vectors, so drift across runs or interpreters cannot go unnoticed.
+        assert seal_payload(b"hello world", 1, 2, 42).hex() == "881c4be5ddb6d0701df459"
+        assert make_payload(42, 7, 8).hex() == "e83625f18bc47dd1"
+        # Twice each, so the memoised key is read back too.
         for length in (0, 1, 31, 32, 33, 200, 2000):
+            key = seeded_random("seal:1:2", 42).getrandbits(8 * length)
+            payload = seeded_random("payload:7", 42).randbytes(length)
             for _ in range(2):
-                assert seal_payload(bytes(length), 1, 2, 42) == keystream_oracle(42, 1, 2, length)
-                assert make_payload(42, 7, length) == keystream_oracle(
-                    42 ^ 0x5CE2A810, 7, length, length
-                )
+                assert seal_payload(bytes(length), 1, 2, 42) == key.to_bytes(length, "big")
+                assert make_payload(42, 7, length) == payload
 
     def test_mismatched_key_garbles(self):
         p = b"confidential!"

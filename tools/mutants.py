@@ -60,8 +60,8 @@ MUTANTS = (
     # The in-range graph is re-tested for every pair a change touches.
     Mutant(
         "relink-skips-state-change", "simkernel.py",
-        '        self._emit("state_change", n, {"state": state.value})\n        self._relink([n])\n',
-        '        self._emit("state_change", n, {"state": state.value})\n',
+        "        self._relink([n])\n        if state is _ACTIVE and not was_active:\n",
+        "        if state is _ACTIVE and not was_active:\n",
         (LINKS_PROPERTY,),
     ),
     Mutant(
@@ -358,12 +358,21 @@ MUTANTS = (
         ("tests/test_simkernel.py::TestCollectorHoldOff::"
          "test_a_run_whose_handler_raises_restores_the_setting",),
     ),
-    # Keystream blocks are numbered from 0, whatever the shared counters hold.
+    # Every seeded byte depends on the seed, whatever its sign or width.
     Mutant(
-        "keystream-counters-start-at-one", "transport.py",
-        "        _COUNTERS.append(str(len(_COUNTERS)).encode())\n",
-        "        _COUNTERS.append(str(len(_COUNTERS) + 1).encode())\n",
-        ("tests/test_transport.py::TestKeystream::test_matches_the_block_construction",),
+        "seeded-label-drops-seed", "transport.py",
+        '    return random.Random(f"{label}:{seed}")\n', "    return random.Random(label)\n",
+        ("tests/test_transport.py::test_every_seed_draws_its_own_payloads_seals_and_channels",),
+    ),
+    # Power-off loses the queued frames at once, not when the airtime ends.
+    Mutant(
+        "power-off-keeps-queue", "simkernel.py",
+        "        for to, body in radio.txq:\n"
+        '            self._lost(n, "to", to, body, "sender_inactive")\n'
+        "        radio.txq.clear()\n        radio.advs.clear()\n        radio.depth.clear()\n",
+        "",
+        ("tests/test_simkernel.py::TestRebootFaults::"
+         "test_frame_on_air_is_lost_when_its_sender_powers_off",),
     ),
 )
 
