@@ -10,8 +10,9 @@ plain range in metres, and times in seconds become integer half-microseconds.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import routing
 from .scatternet import LinkMode
@@ -49,6 +50,12 @@ DEFAULT_RETRIES = 3
 # rounds to zero of them would never advance the clock.
 _POSITIVE_SECONDS = "expected a positive number of seconds, 0.5 us or more once rounded"
 
+# A number must fit a float, whose largest finite value this is.
+_FLOAT_MAX = sys.float_info.max
+
+# Each state by the name a scenario file gives it.
+_STATES = {state.value: state for state in NodeState}
+
 
 class ScenarioError(ValueError):
     """Carries every validation diagnostic found in a scenario file."""
@@ -62,8 +69,7 @@ def sec_to_hus(seconds: float) -> int:
     return round(seconds * HUS_PER_SECOND)
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     id: int
     x: float
     y: float
@@ -72,8 +78,7 @@ class NodeSpec:
     waypoints: tuple[tuple[int, float, float], ...]
 
 
-@dataclass(frozen=True)
-class TrafficSpec:
+class TrafficSpec(NamedTuple):
     time_hus: int
     src: int
     dst: int
@@ -82,8 +87,7 @@ class TrafficSpec:
     interval_hus: int
 
 
-@dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(NamedTuple):
     time_hus: int
     node: int
     action: str  # "set_state" or "withdraw"
@@ -110,48 +114,69 @@ class ScenarioConfig:
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite int or float, not a bool.
+
+    An int too large for a float is not finite (``math.isfinite`` would raise
+    ``OverflowError`` on it), and an exact float or int skips the isinstance
+    checks.
+    """
+    cls = v.__class__
+    return (
+        (cls is float or cls is int or isinstance(v, (int, float)) and not isinstance(v, bool))
+        and -_FLOAT_MAX <= v <= _FLOAT_MAX
+    )
 
 
 def _hus(seconds) -> int | None:
     """Non-negative ``seconds`` as integer half-microseconds, else None."""
-    if not _is_num(seconds) or seconds < 0 or not math.isfinite(seconds * HUS_PER_SECOND):
+    if not _is_num(seconds) or seconds < 0:
         return None
-    return sec_to_hus(seconds)
+    hus = seconds * HUS_PER_SECOND
+    return round(hus) if -_FLOAT_MAX <= hus <= _FLOAT_MAX else None
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    return v.__class__ is int or isinstance(v, int) and not isinstance(v, bool)
+
+
+def _state(name) -> NodeState | None:
+    """The state a scenario file names, or None."""
+    return _STATES.get(name) if isinstance(name, str) else None
 
 
 def validate_scenario(data) -> ScenarioConfig:
-    """Validate a parsed JSON object, collecting every error before failing."""
+    """Validate a parsed JSON object, collecting every error before failing.
+
+    An item that passes costs only its checks: a diagnostic's path and text
+    are formatted only in the branch that reports it.
+    """
     errors: list[str] = []
 
     def err(path: str, message: str) -> None:
         errors.append(f"{path}: {message}")
 
     def unknown(prefix: str, raw: dict, fields: set[str]) -> None:
-        for key in sorted(set(raw) - fields):
+        for key in sorted(raw.keys() - fields):
             err(f"{prefix}{key}", "unknown field")
 
     def objects(key: str, items, fields: set[str], not_list: str = "expected a list"):
-        """Yield (path, object) for each entry of list ``key``, reporting the rest."""
+        """Yield (index, object) for each entry of list ``key``, reporting the rest."""
         if not isinstance(items, list):
             err(key, not_list)
             return
         for i, raw in enumerate(items):
-            path = f"{key}[{i}]"
             if not isinstance(raw, dict):
-                err(path, "expected an object")
+                err(f"{key}[{i}]", "expected an object")
                 continue
-            unknown(f"{path}.", raw, fields)
-            yield path, raw
+            if not raw.keys() <= fields:
+                unknown(f"{key}[{i}].", raw, fields)
+            yield i, raw
 
     if not isinstance(data, dict):
         raise ScenarioError(["scenario: expected a JSON object"])
 
-    unknown("", data, _TOP_FIELDS)
+    if not data.keys() <= _TOP_FIELDS:
+        unknown("", data, _TOP_FIELDS)
 
     horizon = data.get("horizon")
     horizon_hus = _hus(horizon)
@@ -177,7 +202,8 @@ def validate_scenario(data) -> ScenarioConfig:
     if not isinstance(proto_raw, dict):
         err("protocol", "expected an object")
     else:
-        unknown("protocol.", proto_raw, _PROTOCOL_FIELDS)
+        if not proto_raw.keys() <= _PROTOCOL_FIELDS:
+            unknown("protocol.", proto_raw, _PROTOCOL_FIELDS)
         t_adv = proto_raw.get("t_adv", DEFAULT_T_ADV_S)
         t_ack = proto_raw.get("t_ack", DEFAULT_T_ACK_S)
         retries = proto_raw.get("retries", DEFAULT_RETRIES)
@@ -199,61 +225,59 @@ def validate_scenario(data) -> ScenarioConfig:
     nodes_raw = data.get("nodes")
     if isinstance(nodes_raw, list) and len(nodes_raw) > MAX_NODES:
         err("nodes", f"{len(nodes_raw)} nodes exceeds the {MAX_NODES}-node limit")
-    for path, raw in objects("nodes", nodes_raw, _NODE_FIELDS, "required list missing"):
+    for i, raw in objects("nodes", nodes_raw, _NODE_FIELDS, "required list missing"):
         nid = raw.get("id")
         if not _is_int(nid) or not (0 <= nid <= NODE_ID_MAX):
-            err(f"{path}.id", f"expected an integer in [0, {NODE_ID_MAX}]")
+            err(f"nodes[{i}].id", f"expected an integer in [0, {NODE_ID_MAX}]")
             nid = None
         elif nid in seen_ids:
-            err(f"{path}.id", f"duplicate node id {nid}")
+            err(f"nodes[{i}].id", f"duplicate node id {nid}")
             nid = None
         else:
             seen_ids.add(nid)
         x, y = raw.get("x"), raw.get("y")
         if not _is_num(x):
-            err(f"{path}.x", "expected a finite number (metres)")
+            err(f"nodes[{i}].x", "expected a finite number (metres)")
         if not _is_num(y):
-            err(f"{path}.y", "expected a finite number (metres)")
+            err(f"nodes[{i}].y", "expected a finite number (metres)")
         class_id = raw.get("class")
         if not (_is_int(class_id) and class_id in (1, 2, 3)):
-            err(f"{path}.class", "expected device class 1, 2 or 3")
+            err(f"nodes[{i}].class", "expected device class 1, 2 or 3")
             class_id = None
         range_m = raw.get("range")
         if range_m is None:
             range_m = CLASS_DEFAULT_RANGE.get(class_id)
         elif not _is_num(range_m):
-            err(f"{path}.range", "expected a finite number (metres)")
+            err(f"nodes[{i}].range", "expected a finite number (metres)")
         elif class_id is not None:
             lo, hi = CLASS_RANGE_BANDS[class_id]
             if not (lo <= range_m <= hi):
-                err(f"{path}.range", f"class {class_id} range must lie in [{lo}, {hi}] m")
+                err(f"nodes[{i}].range", f"class {class_id} range must lie in [{lo}, {hi}] m")
         state_raw = raw.get("state", "active")
-        state = None
-        try:
-            state = NodeState(state_raw)
-        except ValueError:
-            err(f"{path}.state", f"unknown state {state_raw!r}")
+        state = _state(state_raw)
+        if state is None:
+            err(f"nodes[{i}].state", f"unknown state {state_raw!r}")
         waypoints: list[tuple[int, float, float]] = []
         wps_raw = raw.get("waypoints", [])
         if not isinstance(wps_raw, list):
-            err(f"{path}.waypoints", "expected a list of [time, x, y]")
+            err(f"nodes[{i}].waypoints", "expected a list of [time, x, y]")
             wps_raw = []
         last_hus = None
         for j, wp in enumerate(wps_raw):
-            wpath = f"{path}.waypoints[{j}]"
-            if (
-                not isinstance(wp, list)
-                or len(wp) != 3
-                or not all(_is_num(v) for v in wp)
+            if not (
+                isinstance(wp, list)
+                and len(wp) == 3
+                and _is_num(wp[0]) and _is_num(wp[1]) and _is_num(wp[2])
             ):
-                err(wpath, "expected [time_s, x, y]")
+                err(f"nodes[{i}].waypoints[{j}]", "expected [time_s, x, y]")
                 continue
             t, wx, wy = wp
             t_hus = _hus(t)
             if t_hus is None:
-                err(wpath, "waypoint time must be non-negative")
+                err(f"nodes[{i}].waypoints[{j}]", "waypoint time must be non-negative")
             elif last_hus is not None and t_hus <= last_hus:
-                err(wpath, "waypoint times must be strictly increasing, 0.5 us apart or more")
+                err(f"nodes[{i}].waypoints[{j}]",
+                    "waypoint times must be strictly increasing, 0.5 us apart or more")
             last_hus = t_hus
             waypoints.append((t_hus, float(wx), float(wy)))
         if nid is not None and not errors:
@@ -261,71 +285,72 @@ def validate_scenario(data) -> ScenarioConfig:
                 NodeSpec(nid, float(x), float(y), float(range_m), state, tuple(waypoints))
             )
 
-    def check_ref(path: str, nid, label: str) -> bool:
+    def check_ref(key: str, i: int, label: str, nid) -> bool:
+        """Whether ``nid`` names a node; the path's last part is ``label``."""
+        if _is_int(nid) and nid in seen_ids:
+            return True
         if not _is_int(nid):
-            err(path, f"expected an integer node id for {label}")
-            return False
-        if nid not in seen_ids:
-            err(path, f"{label} references nonexistent node id {nid}")
-            return False
-        return True
+            err(f"{key}[{i}].{label}", f"expected an integer node id for {label}")
+        else:
+            err(f"{key}[{i}].{label}", f"{label} references nonexistent node id {nid}")
+        return False
 
-    def check_time(path: str, t) -> int | None:
+    def check_time(key: str, i: int, t) -> int | None:
         t_hus = _hus(t)
         if t_hus is None:
-            err(path, "expected a non-negative number of seconds")
+            err(f"{key}[{i}].time", "expected a non-negative number of seconds")
             return None
         if horizon_hus and t_hus > horizon_hus:
-            err(path, f"time {t} s lies beyond the horizon")
+            err(f"{key}[{i}].time", f"time {t} s lies beyond the horizon")
             return None
         return t_hus
 
     traffic: list[TrafficSpec] = []
-    for path, raw in objects("traffic", data.get("traffic", []), _TRAFFIC_FIELDS):
-        t_hus = check_time(f"{path}.time", raw.get("time"))
-        ok = check_ref(f"{path}.src", raw.get("src"), "src")
-        ok &= check_ref(f"{path}.dst", raw.get("dst"), "dst")
-        if ok and raw.get("src") == raw.get("dst"):
-            err(f"{path}.dst", "src and dst must differ")
+    for i, raw in objects("traffic", data.get("traffic", []), _TRAFFIC_FIELDS):
+        t_hus = check_time("traffic", i, raw.get("time"))
+        src, dst = raw.get("src"), raw.get("dst")
+        ok = check_ref("traffic", i, "src", src)
+        ok &= check_ref("traffic", i, "dst", dst)
+        if ok and src == dst:
+            err(f"traffic[{i}].dst", "src and dst must differ")
             ok = False
         nbytes = raw.get("payload_bytes")
         if not _is_int(nbytes) or nbytes < 0:
-            err(f"{path}.payload_bytes", "expected a non-negative integer byte count")
+            err(f"traffic[{i}].payload_bytes", "expected a non-negative integer byte count")
             ok = False
         count = raw.get("count", 1)
         if not _is_int(count) or count < 1:
-            err(f"{path}.count", "expected a positive integer")
+            err(f"traffic[{i}].count", "expected a positive integer")
             ok = False
         interval_hus = _hus(raw.get("interval", 0))
         if interval_hus is None:
-            err(f"{path}.interval", "expected a non-negative number of seconds")
+            err(f"traffic[{i}].interval", "expected a non-negative number of seconds")
             ok = False
         if ok and t_hus is not None:
-            traffic.append(
-                TrafficSpec(t_hus, raw["src"], raw["dst"], nbytes, count, interval_hus)
-            )
+            traffic.append(TrafficSpec(t_hus, src, dst, nbytes, count, interval_hus))
 
     actions: list[ActionSpec] = []
-    for path, raw in objects("actions", data.get("actions", []), _ACTION_FIELDS):
-        t_hus = check_time(f"{path}.time", raw.get("time"))
-        ok = check_ref(f"{path}.node", raw.get("node"), "node")
+    for i, raw in objects("actions", data.get("actions", []), _ACTION_FIELDS):
+        t_hus = check_time("actions", i, raw.get("time"))
+        node = raw.get("node")
+        ok = check_ref("actions", i, "node", node)
         kind = raw.get("action")
         state = None
         if kind == "set_state":
-            try:
-                state = NodeState(raw.get("state"))
-            except ValueError:
-                err(f"{path}.state", f"unknown state {raw.get('state')!r}")
+            state_raw = raw.get("state")
+            state = _state(state_raw)
+            if state is None:
+                err(f"actions[{i}].state", f"unknown state {state_raw!r}")
                 ok = False
         elif kind == "withdraw":
             if "state" in raw:
-                err(f"{path}.state", "withdraw takes no state")
+                err(f"actions[{i}].state", "withdraw takes no state")
                 ok = False
         else:
-            err(f"{path}.action", "expected 'set_state' or 'withdraw'")
+            err(f"actions[{i}].action", "expected 'set_state' or 'withdraw'")
             ok = False
         if ok and t_hus is not None:
-            actions.append(ActionSpec(t_hus, raw["node"], kind, state))
+            actions.append(ActionSpec(t_hus, node, kind, state))
 
     if errors:
         raise ScenarioError(errors)

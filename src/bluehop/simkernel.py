@@ -167,9 +167,9 @@ class Engine:
     __slots__ = (
         "config", "seed", "mode", "inf", "t_adv", "_expiry_hus", "t_ack", "retries",
         "bits_per_slot", "horizon", "now", "queue", "trace", "_record_seq", "metrics",
-        "world", "net", "runtimes", "radios", "_hops", "_msg_counter", "transfers", "_ids",
-        "_movers", "near", "links", "_cell_w", "_cells", "_cell_of", "_blocks", "liveness",
-        "_motion_seq", "_round_seq",
+        "world", "net", "runtimes", "radios", "_hop_key", "_hops", "_msg_counter",
+        "transfers", "_ids", "_movers", "near", "links", "_cell_w", "_cells", "_cell_of",
+        "_blocks", "liveness", "_motion_seq", "_round_seq",
     )
 
     def __init__(self, config: ScenarioConfig, seed: int, trace=None):
@@ -192,7 +192,12 @@ class Engine:
         self.net: Scatternet | None = None
         self.runtimes: dict[int, NodeRuntime] = {}
         self.radios: dict[int, Radio] = {}
-        # Each piconet's hop sequence, by piconet id, rebuilt at each formation.
+        # One hop key per run, drawn only in scatternet mode. Each piconet's hop
+        # sequence, by piconet id, is rebuilt at each formation from
+        # key ^ master, which hop_channel's mix spreads.
+        self._hop_key = (
+            transport.seeded_random("hop", seed).getrandbits(64) if self.mode is _SCATTERNET else 0
+        )
         self._hops: list[baseband.HopSequence] = []
         self._msg_counter = 0
         # Every message's sender-side state, kept engine-wide so a reboot or a
@@ -385,9 +390,9 @@ class Engine:
                 n: near for n, near in near_of.items() if world[n].state is _ACTIVE
             }
             self.net = scatternet.form_scatternet(active)
-            # One key per formation; hop_channel's mix spreads key ^ master.
-            key = transport.seeded_random("hop", self.seed).getrandbits(64)
-            self._hops = [baseband.HopSequence(seed=key ^ p.master) for p in self.net.piconets]
+            self._hops = [
+                baseband.HopSequence(seed=self._hop_key ^ p.master) for p in self.net.piconets
+            ]
             self._emit("scatternet", None, scatternet.scatternet_to_json(self.net))
             touched = self._ids  # a re-form may move any grant
         granted = self.net.links if self.mode is _SCATTERNET else None

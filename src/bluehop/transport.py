@@ -13,6 +13,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 
+from . import routing
 from .baseband import BITS_PER_SLOT, SLOT_LENGTHS
 
 
@@ -130,7 +131,5 @@ def choose_first_hop(
     Falls back to the best available candidate when every minimal-cost
     neighbour has been tried already.
     """
-    from .routing import select_next_hop
-
     fresh = [(depth, n) for depth, n in candidates if n not in routes_tried]
-    return select_next_hop(fresh if fresh else candidates)
+    return routing.select_next_hop(fresh if fresh else candidates)

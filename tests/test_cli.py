@@ -162,6 +162,16 @@ class TestExitCodes:
         assert main(["run", str(huge), "--out", str(tmp_path / "o")]) == 1
         assert "unreadable JSON" in capsys.readouterr().err
 
+    def test_integer_beyond_float_range_is_exit_one(self, tmp_path, capsys):
+        # Within json's digit limit, but too large for a float.
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"horizon": 1.0, "nodes": [{"id": 0, "x": 1' + "0" * 400
+                        + ', "y": 0, "class": 3}]}')
+        out = tmp_path / "o"
+        assert main(["run", str(huge), "--out", str(out)]) == 1
+        assert "nodes[0].x: expected a finite number (metres)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_error_is_exit_two(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the output directory should go")

@@ -322,10 +322,40 @@ class TestNonFinite:
             (with_node("y", -math.inf), "nodes[0].y"),
             (with_node("waypoints", [[math.inf, 0.0, 0.0]]), "nodes[0].waypoints[0]"),
             (minimal(actions=[{"time": math.nan, "node": 0, "action": "withdraw"}]), "actions[0].time"),
+            # Integers too large for a float, which math.isfinite cannot take.
+            (with_node("x", 10**400), "nodes[0].x"),
+            (with_node("range", -(10**400)), "nodes[0].range"),
+            (with_node("waypoints", [[10**400, 0.0, 0.0]]), "nodes[0].waypoints[0]"),
+            (minimal(horizon=10**400), "horizon"),
+            (minimal(horizon=10**303), "horizon"),  # fits a float, but not in half-microseconds
+            (minimal(traffic=[{"time": 10**400, "src": 0, "dst": 0, "payload_bytes": 1}]),
+             "traffic[0].time"),
         ],
     )
     def test_rejected(self, data, path):
         assert any(m.startswith(f"{path}:") for m in errors_of(data))
+
+
+class TestSpecRecords:
+    def test_records_are_immutable(self):
+        data = minimal(
+            traffic=[{"time": 0.1, "src": 0, "dst": 1, "payload_bytes": 1}],
+            actions=[{"time": 0.2, "node": 1, "action": "set_state", "state": "off"}],
+        )
+        data["nodes"].append({"id": 1, "x": 1.0, "y": 0.0, "class": 3})
+        config = validate_scenario(data)
+        for record, field in ((config.nodes[0], "x"), (config.traffic[0], "count"),
+                              (config.actions[0], "state")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_every_state_is_read_by_its_name(self):
+        names = ["active", "idle", "parked", "sniffing", "off"]
+        nodes = [{"id": i, "x": 0.0, "y": 0.0, "class": 3, "state": name}
+                 for i, name in enumerate(names)]
+        config = validate_scenario({"horizon": 1.0, "nodes": nodes})
+        assert [n.state for n in config.nodes] == [NodeState(name) for name in names]
+        assert [n.state.value for n in config.nodes] == names
 
 
 # JSON-like values, weighted toward the numbers that break naive checks.
@@ -333,6 +363,8 @@ NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-3, 300),
     st.sampled_from([0.0, 1e-7, 2.4e-7, 2.6e-7, 5e-7, 1e-300, 1e303, 0.5, 1.0]),
+    # Integers beyond float range, and one whose half-microseconds are.
+    st.sampled_from([10**400, -(10**400), 2**1024, 10**303]),
 )
 JSON = st.recursive(
     st.none() | st.booleans() | NUMBERS | st.text(max_size=4),

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bluehop import scenario_path
+from bluehop import scenario_path, transport
 from bluehop.transport import (
     Ack,
     OpacityViolation,
@@ -50,6 +50,22 @@ def test_every_seed_draws_its_own_payloads_seals_and_channels(seed, other):
     for field, values in mine.items():
         assert values and len(values) == len(theirs[field])
         assert values != theirs[field], field
+
+
+@pytest.mark.parametrize("name,keys", [("churn25", 1), ("line5", 0)])
+def test_a_run_draws_one_hop_key_however_often_it_re_forms(name, keys, monkeypatch):
+    # churn25 is in scatternet mode and re-forms its piconets; line5 is geometric.
+    config = parse_scenario(scenario_path(f"{name}.json"))
+    labels = []
+
+    def counted(label, seed):
+        labels.append(label)
+        return seeded_random(label, seed)
+
+    monkeypatch.setattr(transport, "seeded_random", counted)
+    formations = sum(r["kind"] == "scatternet" for r in run_scenario(config, 0)[1])
+    assert formations > 1 if keys else formations == 0
+    assert labels.count("hop") == keys
 
 
 class TestSeal:
@@ -151,6 +167,13 @@ class TestFirstHopChoice:
 
     def test_no_candidates(self):
         assert choose_first_hop([], routes_tried=set()) is None
+
+    def test_choice_goes_through_routing_select_next_hop(self, monkeypatch):
+        # A wrapper set on routing.select_next_hop sees every first-hop choice.
+        offered = []
+        monkeypatch.setattr(transport.routing, "select_next_hop", offered.append)
+        choose_first_hop([(0, 1), (0, 2)], routes_tried={1})
+        assert offered == [[(0, 2)]]
 
 
 class TestTypes:

@@ -374,6 +374,37 @@ MUTANTS = (
         ("tests/test_simkernel.py::TestRebootFaults::"
          "test_frame_on_air_is_lost_when_its_sender_powers_off",),
     ),
+    # Validation tests each item's fields as a set before it formats any
+    # diagnostic, and the test must still report every unknown field.
+    Mutant(
+        "validation-skips-unknown-item-fields", "scenario.py",
+        "            if not raw.keys() <= fields:\n"
+        "                unknown(f\"{key}[{i}].\", raw, fields)\n",
+        "",
+        ("tests/test_scenario.py::TestRejects::test_unknown_node_field",
+         "tests/test_scenario.py::TestExactDiagnostics::test_every_section"),
+    ),
+    # States are read through a table by name, which must hold every state.
+    Mutant(
+        "state-table-misses-parked", "scenario.py",
+        "_STATES = {state.value: state for state in NodeState}\n",
+        "_STATES = {state.value: state for state in NodeState if state is not NodeState.PARKED}\n",
+        ("tests/test_scenario.py::TestSpecRecords::test_every_state_is_read_by_its_name",),
+    ),
+    # An int too large for a float is a diagnostic, not an OverflowError.
+    Mutant(
+        "number-check-back-to-isfinite", "scenario.py",
+        "        and -_FLOAT_MAX <= v <= _FLOAT_MAX\n",
+        "        and __import__(\"math\").isfinite(v)\n",
+        ("tests/test_scenario.py::TestNonFinite::test_rejected",
+         "tests/test_cli.py::TestExitCodes::test_integer_beyond_float_range_is_exit_one"),
+    ),
+    Mutant(
+        "seconds-rounded-past-float-range", "scenario.py",
+        "    return round(hus) if -_FLOAT_MAX <= hus <= _FLOAT_MAX else None\n",
+        "    return round(hus)\n",
+        ("tests/test_scenario.py::TestNonFinite::test_rejected",),
+    ),
 )
 
 # Runs in the pytest process. Before any test module builds its settings, it
