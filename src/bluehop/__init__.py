@@ -1,11 +1,10 @@
 """bluehop: deterministic multi-hop range extension for short-range radios."""
 
-from importlib import resources
+import os
 
 __version__ = "0.1.0"
 
 
 def scenario_path(name: str) -> str:
     """Filesystem path of a bundled gallery scenario, e.g. ``figure4.json``."""
-    ref = resources.files(__name__) / "scenarios" / name
-    return str(ref)
+    return os.path.join(os.path.dirname(__file__), "scenarios", name)

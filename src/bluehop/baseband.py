@@ -8,7 +8,7 @@ hops to a new channel out of 79, i.e. 1600 slots (and hops) per second.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 TICK_US = 312.5
 TICK_HUS = 625            # half-microsecond units per clock tick
@@ -29,9 +29,7 @@ class OversizePayloadError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HopSequence:
-    seed: int
+HopSequence = namedtuple("HopSequence", "seed")
 
 
 def slots_for_payload(payload_bits: int, bits_per_slot: int = BITS_PER_SLOT) -> int:

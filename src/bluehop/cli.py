@@ -260,7 +260,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {line}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - map anything else to exit 2
-        print(f"runtime error: {exc}", file=sys.stderr)
+        # Some exceptions carry no text, MemoryError() among them: name the type.
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

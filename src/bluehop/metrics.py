@@ -8,8 +8,6 @@ packet forwarded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 FAILURE_CLASSES = (
     "forward-failure", "ttl-drop", "frame-lost", "no-route", "retry-exhausted", "rejected"
 )
@@ -32,21 +30,29 @@ _PASSIVE_KINDS = frozenset(
 )
 
 
-@dataclass
 class Metrics:
-    # One deliveries.csv row per message, in msg_id order (ids are sent in order).
-    rows: dict[int, dict] = field(default_factory=dict)
-    delivered: int = 0
-    failed: dict[str, int] = field(default_factory=dict)
-    delivered_bytes: int = 0
-    hop_counts: list[int] = field(default_factory=list)
-    latencies_us: list[float] = field(default_factory=list)
-    control_packets: dict[str, int] = field(default_factory=dict)
-    data_packets_forwarded: int = 0
-    discoveries_triggered: int = 0
-    stale_control: int = 0
-    lost_packets: int = 0
-    packet_drops: dict[str, int] = field(default_factory=dict)
+    """A run's counters and rows; two are equal when every one of them is, so a
+    trace's replay can be checked against the run that wrote it."""
+
+    def __init__(self) -> None:
+        # One deliveries.csv row per message, in msg_id order (ids are sent in order).
+        self.rows: dict[int, dict] = {}
+        self.delivered = 0
+        self.failed: dict[str, int] = {}
+        self.delivered_bytes = 0
+        self.hop_counts: list[int] = []
+        self.latencies_us: list[float] = []
+        self.control_packets: dict[str, int] = {}
+        self.data_packets_forwarded = 0
+        self.discoveries_triggered = 0
+        self.stale_control = 0
+        self.lost_packets = 0
+        self.packet_drops: dict[str, int] = {}
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def messages_sent(self) -> int:

@@ -15,9 +15,8 @@ only changed routes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 INF = 16  # cost cap; entries at INF are unreachable
 # How many records a chain of ``ChangeRecord``s keeps. A relaxation that would
@@ -36,7 +35,6 @@ class MessageKind(Enum):
 _ADVERTISEMENT = MessageKind.ADVERTISEMENT
 
 
-@dataclass(eq=False, slots=True)
 class ChangeRecord:
     """The destinations that one step of a table changed.
 
@@ -47,8 +45,11 @@ class ChangeRecord:
     holds them.
     """
 
-    changed: tuple[int, ...]
-    parent: ChangeRecord | None
+    __slots__ = ("changed", "parent")
+
+    def __init__(self, changed: tuple[int, ...], parent: ChangeRecord | None):
+        self.changed = changed
+        self.parent = parent
 
 
 # Where every table's rise chain starts. Never cut, so it is reachable from a
@@ -80,16 +81,18 @@ def _since(head: ChangeRecord | None, seen: ChangeRecord, dests: set[int]) -> bo
     return True
 
 
-@dataclass(eq=False, slots=True)
 class Vector:
     """One table state's costs, shared by the advertisements to every receiver.
 
     Never mutated once built.
     """
 
-    inf: int
-    costs: dict[int, int]
-    record: ChangeRecord
+    __slots__ = ("inf", "costs", "record")
+
+    def __init__(self, inf: int, costs: dict[int, int], record: ChangeRecord):
+        self.inf = inf
+        self.costs = costs
+        self.record = record
 
 
 class ControlMessage:
@@ -123,13 +126,14 @@ class ControlMessage:
         return self._entries
 
 
-@dataclass(slots=True)
 class RouteEntry:
-    next_hop: int | None
-    cost: int
+    __slots__ = ("next_hop", "cost")
+
+    def __init__(self, next_hop: int | None, cost: int):
+        self.next_hop = next_hop
+        self.cost = cost
 
 
-@dataclass(slots=True)
 class RoutingTable:
     """One node's routes and what its neighbours last told it.
 
@@ -139,31 +143,33 @@ class RoutingTable:
     next_hops's answers until either changes.
     """
 
-    owner: int
-    inf: int = INF
-    entries: dict[int, RouteEntry] = field(default_factory=dict, init=False)
-    # Per neighbour: its last advertisement as received (vectors are never
-    # mutated, poisoned sets are frozen) and ``risen`` after relaxing it.
-    heard: dict[int, tuple[ControlMessage, ChangeRecord]] = field(
-        default_factory=dict, init=False
-    )
-    # (origin, target) of every discovery flood this node has joined.
-    discovery_seen: set[tuple[int, int]] = field(default_factory=set, init=False)
-    # Head of the rise chain: the last rise's record.
-    risen: ChangeRecord = field(default=_NO_RISES, init=False)
-    # The current vector's advertisement per receiver; emptied when a vector is built.
-    adverts: dict[int, ControlMessage] = field(default_factory=dict, init=False)
-    # Next hop -> the destinations routed through it (the owner's entry aside).
-    via: dict[int, set[int]] = field(default_factory=dict, init=False)
-    # Destinations changed since ``vector`` was built; ``vector`` is current while empty.
-    changed: set[int] = field(default_factory=set, init=False)
-    # The last vector built; None before the first advertisement.
-    vector: Vector | None = field(default=None, init=False)
-    # Destination -> its equal-cost next hops among ``hops_links``, the links
-    # tuple they were picked from; emptied whenever ``entries`` or ``heard``
-    # change.
-    hops: dict[int, list[int]] = field(default_factory=dict, init=False)
-    hops_links: tuple[int, ...] | None = field(default=None, init=False)
+    __slots__ = ("owner", "inf", "entries", "heard", "discovery_seen", "risen", "adverts",
+                 "via", "changed", "vector", "hops", "hops_links")
+
+    def __init__(self, owner: int, inf: int = INF):
+        self.owner = owner
+        self.inf = inf
+        self.entries: dict[int, RouteEntry] = {}
+        # Per neighbour: its last advertisement as received (vectors are never
+        # mutated, poisoned sets are frozen) and ``risen`` after relaxing it.
+        self.heard: dict[int, tuple[ControlMessage, ChangeRecord]] = {}
+        # (origin, target) of every discovery flood this node has joined.
+        self.discovery_seen: set[tuple[int, int]] = set()
+        # Head of the rise chain: the last rise's record.
+        self.risen: ChangeRecord = _NO_RISES
+        # The current vector's advertisement per receiver; emptied when a vector is built.
+        self.adverts: dict[int, ControlMessage] = {}
+        # Next hop -> the destinations routed through it (the owner's entry aside).
+        self.via: dict[int, set[int]] = {}
+        # Destinations changed since ``vector`` was built; ``vector`` is current while empty.
+        self.changed: set[int] = set()
+        # The last vector built; None before the first advertisement.
+        self.vector: Vector | None = None
+        # Destination -> its equal-cost next hops among ``hops_links``, the links
+        # tuple they were picked from; emptied whenever ``entries`` or ``heard``
+        # change.
+        self.hops: dict[int, list[int]] = {}
+        self.hops_links: tuple[int, ...] | None = None
 
     def cost_to(self, dest: int) -> int:
         e = self.entries.get(dest)

@@ -8,7 +8,6 @@ heuristic and is fully deterministic for a given graph.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .topology import Node, in_range
@@ -21,19 +20,19 @@ class LinkMode(Enum):
     SCATTERNET = "scatternet"
 
 
-@dataclass
 class Piconet:
-    id: int
-    master: int
-    active_slaves: list[int] = field(default_factory=list)
-    parked_slaves: list[int] = field(default_factory=list)
+    def __init__(self, id: int, master: int):
+        self.id = id
+        self.master = master
+        self.active_slaves: list[int] = []
+        self.parked_slaves: list[int] = []
 
 
-@dataclass
 class Scatternet:
-    piconets: list[Piconet] = field(default_factory=list)
-    # (a, b) -> (piconet id, transmit parity for ``a``), built at formation
-    links: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.piconets: list[Piconet] = []
+        # (a, b) -> (piconet id, transmit parity for ``a``), built at formation
+        self.links: dict[tuple[int, int], tuple[int, int]] = {}
 
     @property
     def bridge_nodes(self) -> set[int]:

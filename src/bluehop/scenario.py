@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import routing
 from .scatternet import LinkMode
@@ -22,6 +21,17 @@ HUS_PER_SECOND = 2_000_000
 
 MAX_NODES = 255
 NODE_ID_MAX = 254
+
+# What one file may ask a run to carry: the bytes of one message, and the
+# messages and payload bytes due by the horizon, summed across flows. The
+# pools and probes send at most 2,000 B a message and 200 messages, the
+# acceptance throughput check sends 17,000, and a kernel test schedules a
+# flow of 100,000. A queued message holds about 3.5 KB and a payload byte
+# about 12 B: 100,000 messages of 41 B between two nodes at one instant peak
+# near 400 MB.
+MAX_PAYLOAD_BYTES = 65_536
+MAX_MESSAGES = 100_000
+MAX_PAYLOAD_TOTAL = 4 * 1024 * 1024
 
 # Range is the only radio property the run reads. Each device class has a
 # default range in metres, and a scenario may override it inside the band.
@@ -69,48 +79,17 @@ def sec_to_hus(seconds: float) -> int:
     return round(seconds * HUS_PER_SECOND)
 
 
-class NodeSpec(NamedTuple):
-    id: int
-    x: float
-    y: float
-    range_m: float
-    state: NodeState
-    waypoints: tuple[tuple[int, float, float], ...]
-
-
-class TrafficSpec(NamedTuple):
-    time_hus: int
-    src: int
-    dst: int
-    payload_bytes: int
-    count: int
-    interval_hus: int
-
-
-class ActionSpec(NamedTuple):
-    time_hus: int
-    node: int
-    action: str  # "set_state" or "withdraw"
-    state: NodeState | None
-
-
-@dataclass
-class ProtocolParams:
-    t_adv_hus: int
-    t_ack_hus: int
-    retries: int
-    inf: int
-
-
-@dataclass
-class ScenarioConfig:
-    nodes: list[NodeSpec]
-    horizon_hus: int
-    link_mode: LinkMode
-    protocol: ProtocolParams
-    traffic: list[TrafficSpec]
-    actions: list[ActionSpec]
-    rate_multiplier: int
+# The validated records, immutable. Positions and ranges are float metres, times
+# integer half-microseconds, a waypoint is (time_hus, x, y), ``state`` is a
+# NodeState (None for a withdraw action) and ``action`` is "set_state" or
+# "withdraw".
+NodeSpec = namedtuple("NodeSpec", "id x y range_m state waypoints")
+TrafficSpec = namedtuple("TrafficSpec", "time_hus src dst payload_bytes count interval_hus")
+ActionSpec = namedtuple("ActionSpec", "time_hus node action state")
+ProtocolParams = namedtuple("ProtocolParams", "t_adv_hus t_ack_hus retries inf")
+ScenarioConfig = namedtuple(
+    "ScenarioConfig", "nodes horizon_hus link_mode protocol traffic actions rate_multiplier"
+)
 
 
 def _is_num(v) -> bool:
@@ -217,6 +196,9 @@ def validate_scenario(data) -> ScenarioConfig:
             err("protocol.retries", "expected a non-negative integer")
         if not _is_int(inf) or inf < 2:
             err("protocol.inf", "expected an integer cost cap >= 2")
+        elif inf > MAX_NODES:
+            # No route has more hops than the node limit allows, 254.
+            err("protocol.inf", f"expected a cost cap of at most {MAX_NODES}, the node limit")
         if not errors:
             protocol = ProtocolParams(t_adv_hus, t_ack_hus, retries, inf)
 
@@ -306,6 +288,7 @@ def validate_scenario(data) -> ScenarioConfig:
         return t_hus
 
     traffic: list[TrafficSpec] = []
+    messages = payload_total = 0  # due by the horizon, summed across flows
     for i, raw in objects("traffic", data.get("traffic", []), _TRAFFIC_FIELDS):
         t_hus = check_time("traffic", i, raw.get("time"))
         src, dst = raw.get("src"), raw.get("dst")
@@ -318,6 +301,10 @@ def validate_scenario(data) -> ScenarioConfig:
         if not _is_int(nbytes) or nbytes < 0:
             err(f"traffic[{i}].payload_bytes", "expected a non-negative integer byte count")
             ok = False
+        elif nbytes > MAX_PAYLOAD_BYTES:
+            err(f"traffic[{i}].payload_bytes",
+                f"payload exceeds the {MAX_PAYLOAD_BYTES}-byte limit")
+            ok = False
         count = raw.get("count", 1)
         if not _is_int(count) or count < 1:
             err(f"traffic[{i}].count", "expected a positive integer")
@@ -328,6 +315,17 @@ def validate_scenario(data) -> ScenarioConfig:
             ok = False
         if ok and t_hus is not None:
             traffic.append(TrafficSpec(t_hus, src, dst, nbytes, count, interval_hus))
+            if horizon_hus:
+                # A repetition due after the horizon is never sent.
+                if interval_hus:
+                    count = min(count, (horizon_hus - t_hus) // interval_hus + 1)
+                messages += count
+                payload_total += count * nbytes
+    if messages > MAX_MESSAGES:
+        err("traffic", f"the flows send more than {MAX_MESSAGES} messages by the horizon")
+    if payload_total > MAX_PAYLOAD_TOTAL:
+        err("traffic",
+            f"the flows send more than {MAX_PAYLOAD_TOTAL} payload bytes by the horizon")
 
     actions: list[ActionSpec] = []
     for i, raw in objects("actions", data.get("actions", []), _ACTION_FIELDS):

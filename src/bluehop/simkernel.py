@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import gc
 import heapq
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from enum import Enum
 from itertools import count
-from typing import NamedTuple
 
 from . import baseband, metrics, routing, scatternet, topology, transport
 from .scatternet import LinkMode, Scatternet
@@ -54,11 +52,8 @@ _ACTION = EventKind.SCENARIO_ACTION
 _WITHDRAW, _ADVERTISEMENT = routing.MessageKind.WITHDRAW, routing.MessageKind.ADVERTISEMENT
 
 
-class Event(NamedTuple):
-    time: int
-    sequence: int
-    kind: EventKind
-    args: tuple  # positional arguments of the kind's handler
+# ``args`` holds the positional arguments of the kind's handler.
+Event = namedtuple("Event", "time sequence kind args")
 
 
 # Builds an Event without the namedtuple's Python-level ``__new__``.
@@ -120,7 +115,6 @@ _FTYPE = {
 }
 
 
-@dataclass(slots=True)
 class Radio:
     """A node's transmitter: its queue of (neighbour, body) frames, where a None
     body is an advertisement built at send time, and the end of its airtime.
@@ -132,21 +126,24 @@ class Radio:
     the airtime end of a frame whose sender powered off while it was on air.
     """
 
-    txq: deque[tuple[int, Body | None]] = field(default_factory=deque)
-    busy_until: int = 0
-    advs: set[int] = field(default_factory=set)
-    depth: dict[int, int] = field(default_factory=dict)
-    cut: int | None = None
+    __slots__ = ("txq", "busy_until", "advs", "depth", "cut")
+
+    def __init__(self) -> None:
+        self.txq: deque[tuple[int, Body | None]] = deque()
+        self.busy_until = 0
+        self.advs: set[int] = set()
+        self.depth: dict[int, int] = {}
+        self.cut: int | None = None
 
 
-@dataclass
 class NodeRuntime:
     """Per-node protocol state, rebuilt at every power-on."""
 
-    table: routing.RoutingTable
-    # Neighbours heard since power-on and not forgotten since.
-    known: set[int] = field(default_factory=set)
-    reassembly: dict[int, dict[int, bytes]] = field(default_factory=dict)
+    def __init__(self, table: routing.RoutingTable):
+        self.table = table
+        # Neighbours heard since power-on and not forgotten since.
+        self.known: set[int] = set()
+        self.reassembly: dict[int, dict[int, bytes]] = {}
 
 
 def _t_us(t_hus: int):

@@ -7,9 +7,8 @@ are in the active state. Distances are plain euclidean metres on a 2-D plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 
 class NodeState(Enum):
@@ -24,19 +23,18 @@ class NodeState(Enum):
 _ACTIVE = NodeState.ACTIVE
 
 
-class Position(NamedTuple):
-    x: float
-    y: float
+Position = namedtuple("Position", "x y")
 
 
-@dataclass
 class Node:
-    position: Position
-    range_m: float
-    state: NodeState = NodeState.ACTIVE
-    # Motion path as (time_hus, Position), strictly increasing in time and
-    # starting at t=0; empty for a node that never moves.
-    path: list[tuple[int, Position]] = field(default_factory=list)
+    def __init__(self, position: Position, range_m: float, state: NodeState = NodeState.ACTIVE,
+                 path: list[tuple[int, Position]] | None = None):
+        self.position = position
+        self.range_m = range_m
+        self.state = state
+        # Motion path as (time_hus, Position), strictly increasing in time and
+        # starting at t=0; empty for a node that never moves.
+        self.path = [] if path is None else path
 
 
 def in_range(a: Node, b: Node) -> bool:

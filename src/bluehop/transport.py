@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 
 from . import routing
 from .baseband import BITS_PER_SLOT, SLOT_LENGTHS
@@ -79,47 +78,55 @@ def fragment_sealed(sealed: bytes, bits_per_slot: int = BITS_PER_SLOT) -> list[b
     return [sealed[i : i + step] for i in range(0, len(sealed), step)]
 
 
-@dataclass(slots=True)
 class DataPacket:
-    msg_id: int
-    src: int
-    dst: int
-    fragment_index: int
-    fragment_count: int
-    sealed_payload: bytes
-    # The sealed payload as every hop traces it, encoded once per send.
-    payload_hex: str
-    slots: int
-    # Simulator-only observability: every node the packet has visited,
-    # starting with the source.
-    hop_trace: list[int]
+    __slots__ = ("msg_id", "src", "dst", "fragment_index", "fragment_count", "sealed_payload",
+                 "payload_hex", "slots", "hop_trace")
+
+    def __init__(self, msg_id: int, src: int, dst: int, fragment_index: int,
+                 fragment_count: int, sealed_payload: bytes, payload_hex: str, slots: int,
+                 hop_trace: list[int]):
+        self.msg_id = msg_id
+        self.src = src
+        self.dst = dst
+        self.fragment_index = fragment_index
+        self.fragment_count = fragment_count
+        self.sealed_payload = sealed_payload
+        # The sealed payload as every hop traces it, encoded once per send.
+        self.payload_hex = payload_hex
+        self.slots = slots
+        # Simulator-only observability: every node the packet has visited,
+        # starting with the source.
+        self.hop_trace = hop_trace
 
 
-@dataclass(slots=True)
 class Ack:
     """End-to-end acknowledgement, emitted by the destination after reassembly."""
 
-    msg_id: int
-    dst: int  # the data packet's source
-    hops: int = 0
+    __slots__ = ("msg_id", "dst", "hops")
+
+    def __init__(self, msg_id: int, dst: int, hops: int = 0):
+        self.msg_id = msg_id
+        self.dst = dst  # the data packet's source
+        self.hops = hops
 
 
-@dataclass
 class PendingTransfer:
     """One message's sender-side state, from its send to the end of the run."""
 
-    msg_id: int
-    src: int
-    dst: int
-    fragments: list[bytes]
-    sent_at: int = 0
-    # The armed ack timer's time; None once the transfer is resolved.
-    deadline: int | None = None
-    routes_tried: set[int] = field(default_factory=set)
-    retransmissions: int = 0
-    last_drop_class: str | None = None
-    delivered: bool = False
-    failed: bool = False
+    def __init__(self, msg_id: int, src: int, dst: int, fragments: list[bytes],
+                 sent_at: int = 0):
+        self.msg_id = msg_id
+        self.src = src
+        self.dst = dst
+        self.fragments = fragments
+        self.sent_at = sent_at
+        # The armed ack timer's time; None once the transfer is resolved.
+        self.deadline: int | None = None
+        self.routes_tried: set[int] = set()
+        self.retransmissions = 0
+        self.last_drop_class: str | None = None
+        self.delivered = False
+        self.failed = False
 
 
 def choose_first_hop(

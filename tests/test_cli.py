@@ -59,6 +59,28 @@ def test_importing_the_cli_loads_no_openssl():
     assert out == "['bluehop']\n"
 
 
+# The standard-library modules the package imports by name.
+STDLIB_IMPORTED = ("__future__", "argparse", "collections", "collections.abc", "csv", "enum",
+                   "functools", "gc", "heapq", "itertools", "json", "math", "os", "pathlib",
+                   "random", "sys")
+
+
+def test_importing_the_cli_adds_only_bluehop_modules_to_what_it_names():
+    # Without site (python -S), which may load typing or importlib.resources
+    # for a .pth file, the package's own modules are all that importing the
+    # CLI may add: a helper such as dataclasses loads inspect, ast, dis and
+    # tokenize into every run.
+    src = str(Path(bluehop.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {', '.join(STDLIB_IMPORTED)}; "
+            "before = set(sys.modules); import bluehop.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    added = out.split()
+    assert "bluehop.cli" in added
+    assert [m for m in added if m.partition(".")[0] != "bluehop"] == []
+
+
 class TestStreamedTrace:
     @settings(max_examples=15, deadline=None)
     @given(scenario_specs(), st.integers(0, 3))
@@ -171,6 +193,29 @@ class TestExitCodes:
         assert main(["run", str(huge), "--out", str(out)]) == 1
         assert "nodes[0].x: expected a finite number (metres)" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_payload_no_run_can_allocate_is_exit_one(self, tmp_path, capsys):
+        # Once a message of this size is sent, the payload generator raises.
+        scenario = tmp_path / "huge_payload.json"
+        scenario.write_text(json.dumps({
+            "horizon": 1.0,
+            "nodes": [{"id": 0, "x": 0, "y": 0, "class": 3}, {"id": 1, "x": 5, "y": 0, "class": 3}],
+            "traffic": [{"time": 0.1, "src": 0, "dst": 1, "payload_bytes": 10**30}],
+        }))
+        out = tmp_path / "o"
+        assert main(["run", str(scenario), "--out", str(out)]) == 1
+        assert ("traffic[0].payload_bytes: payload exceeds the 65536-byte limit"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_running_out_of_memory_names_the_error(self, tmp_path, monkeypatch, capsys):
+        # MemoryError() has no text of its own.
+        def run(engine, until=None):
+            raise MemoryError()
+
+        monkeypatch.setattr(Engine, "run", run)
+        assert main(["run", scenario_path("figure4.json"), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "runtime error: MemoryError\n"
 
     def test_runtime_error_is_exit_two(self, tmp_path):
         blocker = tmp_path / "blocker"

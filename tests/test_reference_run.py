@@ -28,7 +28,6 @@ together over whole runs. The reference run
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import math
 from collections import Counter
 
@@ -134,7 +133,7 @@ def all_reference():
 
     def start_queueing_every_repetition(engine):
         config = engine.config
-        engine.config = dataclasses.replace(config, traffic=[])
+        engine.config = config._replace(traffic=[])
         try:
             start(engine)
         finally:

@@ -7,6 +7,10 @@ from hypothesis import given, strategies as st
 from bluehop.scenario import (
     CLASS_DEFAULT_RANGE,
     CLASS_RANGE_BANDS,
+    MAX_MESSAGES,
+    MAX_NODES,
+    MAX_PAYLOAD_BYTES,
+    MAX_PAYLOAD_TOTAL,
     ScenarioError,
     parse_scenario,
     sec_to_hus,
@@ -334,6 +338,58 @@ class TestNonFinite:
     )
     def test_rejected(self, data, path):
         assert any(m.startswith(f"{path}:") for m in errors_of(data))
+
+
+def flows(*fields):
+    """Two nodes and one flow 0 -> 1 per ``fields`` dict, over a 1 s horizon."""
+    data = minimal(traffic=[{"time": 0.0, "src": 0, "dst": 1, "payload_bytes": 1, **f}
+                            for f in fields])
+    data["nodes"].append({"id": 1, "x": 5.0, "y": 0.0, "class": 3})
+    return data
+
+
+_PAYLOAD_LIMIT = f"traffic[0].payload_bytes: payload exceeds the {MAX_PAYLOAD_BYTES}-byte limit"
+_MESSAGE_LIMIT = f"traffic: the flows send more than {MAX_MESSAGES} messages by the horizon"
+_BYTES_LIMIT = f"traffic: the flows send more than {MAX_PAYLOAD_TOTAL} payload bytes by the horizon"
+_INF_LIMIT = f"protocol.inf: expected a cost cap of at most {MAX_NODES}, the node limit"
+_FULL = MAX_PAYLOAD_TOTAL // MAX_PAYLOAD_BYTES  # full-size messages that fill the byte limit
+
+
+class TestLimits:
+    """Each limit accepts its value and rejects one past it with its own diagnostic."""
+
+    @pytest.mark.parametrize("data", [
+        flows({"payload_bytes": MAX_PAYLOAD_BYTES}),
+        minimal(protocol={"inf": MAX_NODES}),
+        flows({"count": MAX_MESSAGES}),
+        flows({"count": MAX_MESSAGES - 1}, {"time": 0.5}),
+        # 10 us apart from 10 us on, 100,000 repetitions fit the 1 s horizon.
+        flows({"time": 1e-5, "count": 10**30, "interval": 1e-5}),
+        flows({"payload_bytes": MAX_PAYLOAD_BYTES, "count": _FULL}),
+        flows({"payload_bytes": MAX_PAYLOAD_BYTES, "count": _FULL - 1},
+              {"payload_bytes": MAX_PAYLOAD_BYTES - 1}, {}),
+        # Messages due after the horizon are never sent, so they count for nothing.
+        flows({"time": 0.5, "payload_bytes": MAX_PAYLOAD_BYTES, "count": 10**30, "interval": 1.0},
+              {"count": MAX_MESSAGES - 1}),
+    ], ids=["payload", "inf", "messages", "messages-across-flows", "messages-by-interval",
+            "bytes", "bytes-across-flows", "past-the-horizon"])
+    def test_at_the_limit(self, data):
+        validate_scenario(data)
+
+    @pytest.mark.parametrize("data,error", [
+        (flows({"payload_bytes": MAX_PAYLOAD_BYTES + 1}), _PAYLOAD_LIMIT),
+        (flows({"payload_bytes": 10**30}), _PAYLOAD_LIMIT),
+        (minimal(protocol={"inf": MAX_NODES + 1}), _INF_LIMIT),
+        (flows({"count": MAX_MESSAGES + 1}), _MESSAGE_LIMIT),
+        (flows({"count": MAX_MESSAGES}, {"time": 0.5}), _MESSAGE_LIMIT),
+        (flows({"count": 10**30, "interval": 1e-5}), _MESSAGE_LIMIT),
+        (flows({"payload_bytes": MAX_PAYLOAD_BYTES, "count": _FULL + 1}), _BYTES_LIMIT),
+        (flows({"payload_bytes": MAX_PAYLOAD_BYTES, "count": _FULL - 1},
+               {"payload_bytes": MAX_PAYLOAD_BYTES}, {}), _BYTES_LIMIT),
+    ], ids=["payload", "payload-1e30", "inf", "messages", "messages-across-flows",
+            "messages-by-interval", "bytes", "bytes-across-flows"])
+    def test_one_past_the_limit(self, data, error):
+        assert errors_of(data) == [error]
 
 
 class TestSpecRecords:

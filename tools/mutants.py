@@ -193,8 +193,8 @@ MUTANTS = (
     ),
     Mutant(
         "routing-rise-chain-rooted-at-none", "routing.py",
-        "    risen: ChangeRecord = field(default=_NO_RISES, init=False)\n",
-        "    risen: ChangeRecord = field(default=None, init=False)\n",
+        "        self.risen: ChangeRecord = _NO_RISES\n",
+        "        self.risen: ChangeRecord = None\n",
         ("tests/test_routing.py::TestProcessAdvertisement::test_repeated_vector_relaxes_after_many_rises",),
     ),
     # A destination missing from the advertiser's vector is relaxed at INF.
@@ -404,6 +404,31 @@ MUTANTS = (
         "    return round(hus) if -_FLOAT_MAX <= hus <= _FLOAT_MAX else None\n",
         "    return round(hus)\n",
         ("tests/test_scenario.py::TestNonFinite::test_rejected",),
+    ),
+    # Each size limit accepts its value, and counts only what a run can send.
+    Mutant(
+        "payload-limit-off-by-one", "scenario.py",
+        "        elif nbytes > MAX_PAYLOAD_BYTES:\n",
+        "        elif nbytes >= MAX_PAYLOAD_BYTES:\n",
+        ("tests/test_scenario.py::TestLimits::test_at_the_limit[payload]",),
+    ),
+    Mutant(
+        "inf-limit-off-by-one", "scenario.py",
+        "        elif inf > MAX_NODES:\n",
+        "        elif inf >= MAX_NODES:\n",
+        ("tests/test_scenario.py::TestLimits::test_at_the_limit[inf]",),
+    ),
+    Mutant(
+        "message-limit-counts-repetitions-past-the-horizon", "scenario.py",
+        "                    count = min(count, (horizon_hus - t_hus) // interval_hus + 1)\n",
+        "                    pass\n",
+        ("tests/test_scenario.py::TestLimits::test_at_the_limit[messages-by-interval]",),
+    ),
+    Mutant(
+        "byte-limit-counts-one-message-per-flow", "scenario.py",
+        "                payload_total += count * nbytes\n",
+        "                payload_total += nbytes\n",
+        ("tests/test_scenario.py::TestLimits::test_one_past_the_limit[bytes]",),
     ),
 )
 
